@@ -72,11 +72,9 @@ from .text import (
     idf_weights,
     remove_stopwords,
     tokenize,
-    transform_counts,
-    transform_tfidf,
 )
 from .tree import DecisionTreeClassifier, TreeNode, best_split, gini, predict_tree
-from .vectors import BlockMap, FeatureVector, assemble, stack_vectors
+from .vectors import BlockMap, FeatureVector, stack_vectors
 
 __version__ = "0.1.0"
 
@@ -115,7 +113,6 @@ __all__ = [
     "TuneResult",
     "Vocabulary",
     "WeightIdf",
-    "assemble",
     "best_split",
     "binarize_label",
     "block_importances",
@@ -146,8 +143,6 @@ __all__ = [
     "stack_vectors",
     "tokenize",
     "train_validation_split",
-    "transform_counts",
     "transform_minmax",
-    "transform_tfidf",
     "write_csv",
 ]

@@ -3,7 +3,8 @@
 Commands are idempotent for a fixed config and seed: reports differ only in
 wall-time fields. Every report echoes the full effective configuration,
 defaults included, and each command drops a ``<command>.done`` marker in
-the output directory when it finishes writing.
+the output directory when it finishes writing (``verify-model`` drops it
+beside the artifact it verified).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -13,6 +14,7 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +56,7 @@ from .table import (
 )
 from .tree import DecisionTreeClassifier
 from .validation import stack_vectors
+from .vectors import dense_if_full
 
 CLASSIFIER_MODELS = ("logistic", "svc", "dtree", "rforest", "gbt")
 RECOMMENDER_MODELS = ("als", "als_implicit")
@@ -110,6 +113,8 @@ class RunConfig:
             raise ConfigError(f"model {self.model!r} supports only label_mode=binary")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must lie strictly between 0 and 1")
+        if self.vocab_size < 1 or self.min_df < 1:
+            raise ConfigError("vocab_size and min_df must be at least 1")
         return self
 
     def effective(self):
@@ -118,6 +123,20 @@ class RunConfig:
         if self.model in CLASSIFIER_MODELS:
             doc["grid"] = self.grid or DEFAULT_GRIDS[self.model]
         return doc
+
+
+def _check_type(path, key, value, annotation):
+    """Reject a JSON value whose type does not match its RunConfig field.
+
+    An int is accepted for a float field; a bool is never an int.
+    """
+    allowed = typing.get_args(annotation) or (annotation,)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool)):
+        return
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    raise ConfigError(f"{path}: {key} must be {names}, got {type(value).__name__}")
 
 
 def load_config(path, overrides):
@@ -130,11 +149,14 @@ def load_config(path, overrides):
             doc = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
         for key, value in doc.items():
+            _check_type(path, key, value, types[key])
             setattr(cfg, key, value)
     for key, value in overrides.items():
         if value is not None:
@@ -286,11 +308,12 @@ def make_estimator(cfg, num_classes):
     raise ConfigError(f"not a classifier model: {cfg.model!r}")
 
 
-def features_and_labels(pipe, table, cfg):
-    out = pipe.transform(table)
-    X = stack_vectors([out.column("features").value_at(i) for i in range(out.row_count)])
-    y, k = make_labels(out, cfg.label_mode)
-    return X, y, k
+def feature_matrix(table):
+    """Model input from a transformed table's assembled feature column.
+
+    Dense or CSR by the same occupancy rule as ``stack_vectors``.
+    """
+    return dense_if_full(table.column("features").values)
 
 
 def _load_prepared(cfg):
@@ -342,9 +365,10 @@ def _class_balance(y, k):
 def _train_classifier(cfg, prepared, out):
     train_tbl, test_tbl = split_random(prepared, 1.0 - cfg.test_fraction, cfg.seed)
     pipe = Pipeline(feature_stages(cfg))
-    pipe.fit(train_tbl)
-    X_train, y_train, k = features_and_labels(pipe, train_tbl, cfg)
-    X_test, y_test, _ = features_and_labels(pipe, test_tbl, cfg)
+    X_train = feature_matrix(pipe.fit_transform(train_tbl))
+    X_test = feature_matrix(pipe.transform(test_tbl))
+    y_train, k = make_labels(train_tbl, cfg.label_mode)
+    y_test, _ = make_labels(test_tbl, cfg.label_mode)
     if np.unique(y_train).shape[0] < 2:
         raise DataError("training labels contain a single class; cannot train")
 
@@ -522,13 +546,13 @@ def cmd_compare(cfg):
         return report
 
     pipe = Pipeline(feature_stages(cfg))
-    pipe.fit(train_tbl)
+    X_train = feature_matrix(pipe.fit_transform(train_tbl))
+    X_test = feature_matrix(pipe.transform(test_tbl))
     rows = []
     metrics = {}
     for label_mode in ("multiclass", "binary"):
-        sub = dataclasses.replace(cfg, label_mode=label_mode)
-        X_train, y_train, k = features_and_labels(pipe, train_tbl, sub)
-        X_test, y_test, _ = features_and_labels(pipe, test_tbl, sub)
+        y_train, k = make_labels(train_tbl, label_mode)
+        y_test, _ = make_labels(test_tbl, label_mode)
         started = time.perf_counter()
         model = LogisticRegressionClassifier(
             num_classes=k, l2_reg=0.01, max_iters=150, seed=cfg.seed
@@ -655,6 +679,7 @@ def cmd_verify(path):
             f"{path}: verification failed with {len(mismatches)} mismatch(es): "
             + "; ".join(mismatches[:5])
         )
+    _mark_done(Path(path).parent, "verify-model")
     print(f"{path}: verified ({artifact['artifact']})")
     return 0
 
@@ -686,7 +711,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", dest="out_dir", default=None, help="output directory")
-    sub.add_argument("--sample-rows", dest="sample_rows", type=int, default=None)
 
 
 def build_parser():
@@ -700,6 +724,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--ratings-csv", dest="ratings_csv", default=None)
     p.add_argument("--books-csv", dest="books_csv", default=None)
+    p.add_argument("--sample-rows", dest="sample_rows", type=int, default=None,
+                   help="keep a seeded sample of this many cleaned rows")
 
     p = sub.add_parser("train", help="fit the configured model under cv or tvs tuning")
     _add_common(p)

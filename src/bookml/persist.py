@@ -11,7 +11,6 @@ from pathlib import Path
 from .ensemble import GradientBoostedTreesClassifier, RandomForestClassifier
 from .errors import DataError
 from .linear import LinearSVC, LogisticRegressionClassifier
-from .pipeline import Pipeline
 from .recommend import ALSExplicit, ALSImplicit
 from .tree import DecisionTreeClassifier
 
@@ -62,7 +61,3 @@ def load_artifact(path):
             f"{path}: unsupported artifact version {doc.get('format_version')!r}"
         )
     return doc
-
-
-def load_pipeline(doc):
-    return Pipeline.from_json(doc)

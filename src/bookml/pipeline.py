@@ -3,10 +3,12 @@
 Every stage maps Table -> Table by adding (or replacing) one column, keeps
 its fitted state in trailing-underscore attributes, and serializes to a
 JSON fragment. Transforms are pure: the same input table always produces
-the same output table.
+the same output table. Stages work on whole columns: vector stages read and
+write one CSR matrix per column, never one object per row.
 """
 
 import numpy as np
+from scipy import sparse as sp
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import BookmlError, DataError
@@ -14,14 +16,14 @@ from .scaling import MinMaxState, fit_minmax, transform_minmax
 from .stopword_list import ENGLISH_STOPWORDS, STOPWORDS_VERSION
 from .text import (
     Vocabulary,
+    count_matrix,
     fit_count_vectorizer,
     idf_weights,
     remove_stopwords,
     tokenize,
-    transform_counts,
-    transform_tfidf,
+    tfidf_matrix,
 )
-from .vectors import BlockMap, FeatureVector, assemble
+from .vectors import BlockMap
 
 PIPELINE_FORMAT_VERSION = 1
 
@@ -74,7 +76,8 @@ class TokenizeText(Stage):
     def transform(self, table):
         col = table.column(self.input_col)
         toks = tuple(
-            tuple(tokenize(col.value_at(i))) for i in range(table.row_count)
+            tuple(tokenize(None if null else text))
+            for text, null in zip(col.values, col.mask.tolist())
         )
         return table.with_column(self.output_col, "tokens", toks)
 
@@ -94,8 +97,8 @@ class FilterStopwords(Stage):
         stoplist = self._stoplist()
         col = table.column(self.input_col)
         toks = tuple(
-            tuple(remove_stopwords(col.value_at(i) or (), stoplist))
-            for i in range(table.row_count)
+            () if null else tuple(remove_stopwords(doc, stoplist))
+            for doc, null in zip(col.values, col.mask.tolist())
         )
         return table.with_column(self.output_col, "tokens", toks)
 
@@ -112,7 +115,7 @@ class FilterStopwords(Stage):
 
 
 class CountTokens(Stage):
-    """tokens column -> sparse term-count vector column over a fitted vocabulary."""
+    """tokens column -> term-count vector column over a fitted vocabulary."""
 
     def __init__(self, input_col, output_col, vocab_size=4096, min_df=2):
         self.input_col = input_col
@@ -122,20 +125,15 @@ class CountTokens(Stage):
         self.vocabulary_ = None
 
     def fit(self, table):
-        col = table.column(self.input_col)
-        docs = [col.value_at(i) or () for i in range(table.row_count)]
-        self.vocabulary_ = fit_count_vectorizer(docs, self.vocab_size, self.min_df)
+        self.vocabulary_ = fit_count_vectorizer(
+            _docs(table.column(self.input_col)), self.vocab_size, self.min_df
+        )
         return self
 
     def transform(self, table):
         check_is_fitted(self, "vocabulary_")
-        index = self.vocabulary_.index()
-        col = table.column(self.input_col)
-        vecs = tuple(
-            transform_counts(index, col.value_at(i) or ())
-            for i in range(table.row_count)
-        )
-        return table.with_column(self.output_col, "vector", vecs)
+        counts = count_matrix(self.vocabulary_.index(), _docs(table.column(self.input_col)))
+        return table.with_column(self.output_col, "vector", counts)
 
     def state_to_json(self):
         v = self.vocabulary_
@@ -151,6 +149,11 @@ class CountTokens(Stage):
         )
 
 
+def _docs(col):
+    """Token tuples of a tokens column, with null rows as empty docs."""
+    return [() if null else doc for doc, null in zip(col.values, col.mask.tolist())]
+
+
 class WeightIdf(Stage):
     """count-vector column -> tf-idf vector column.
 
@@ -164,34 +167,32 @@ class WeightIdf(Stage):
         self.weights_ = None
 
     def fit(self, table):
-        col = table.column(self.input_col)
         if table.row_count == 0:
             raise DataError("cannot fit IDF on an empty table")
-        dim = col.values[0].dim
-        df = np.zeros(dim, dtype=np.int64)
-        for i in range(table.row_count):
-            vec = col.value_at(i)
-            if vec is not None and vec.is_sparse:
-                df[vec.indices] += 1
-            elif vec is not None:
-                df += vec.to_dense() != 0
+        counts = _vector_values(table, self.input_col)
+        # Vector columns store no explicit zeros and at most one entry per
+        # (row, term), so a term's stored-entry count is its document frequency.
+        df = np.bincount(counts.indices, minlength=counts.shape[1])
         self.weights_ = idf_weights(df, table.row_count)
         return self
 
     def transform(self, table):
         check_is_fitted(self, "weights_")
-        col = table.column(self.input_col)
-        vecs = tuple(
-            transform_tfidf(col.value_at(i), self.weights_)
-            for i in range(table.row_count)
-        )
-        return table.with_column(self.output_col, "vector", vecs)
+        tfidf = tfidf_matrix(_vector_values(table, self.input_col), self.weights_)
+        return table.with_column(self.output_col, "vector", tfidf)
 
     def state_to_json(self):
         return {"weights": self.weights_.tolist()}
 
     def load_state(self, state):
         self.weights_ = np.asarray(state["weights"], dtype=np.float64)
+
+
+def _vector_values(table, name):
+    col = table.column(name)
+    if col.dtype != "vector":
+        raise DataError(f"column {name!r} ({col.dtype}) is not a vector column")
+    return col.values
 
 
 class ScaleMinMax(Stage):
@@ -232,7 +233,8 @@ class AssembleColumns(Stage):
     """Concatenate scalar and vector columns into one feature-vector column.
 
     Fit records the per-part block layout; transform enforces it, so a part
-    whose dimension drifts between rows is rejected.
+    whose dimension drifts from the fitted layout is rejected. Null values
+    are rejected: numeric features must be cleaned upstream.
     """
 
     def __init__(self, input_cols, output_col):
@@ -243,34 +245,43 @@ class AssembleColumns(Stage):
     def input_columns(self):
         return list(self.input_cols)
 
-    def _row_parts(self, table, i):
+    def _parts(self, table):
+        """One CSR block per input column; a scalar column is one CSR column."""
         parts = []
         for name in self.input_cols:
             col = table.column(name)
-            v = col.value_at(i)
-            if col.dtype in ("int64", "float64"):
-                parts.append(None if v is None else float(v))
-            elif col.dtype == "vector":
-                parts.append(v if v is not None else None)
-            else:
+            if col.dtype not in ("int64", "float64", "vector"):
                 raise DataError(f"column {name!r} ({col.dtype}) cannot be assembled")
+            if col.mask.any():
+                raise DataError(f"column {name!r}: null passed to assemble")
+            if col.dtype == "vector":
+                parts.append(col.values)
+                continue
+            values = np.asarray(col.values, dtype=np.float64).reshape(-1, 1)
+            if np.isnan(values).any():
+                raise DataError(f"column {name!r}: NaN passed to assemble")
+            parts.append(sp.csr_matrix(values))
         return parts
 
     def fit(self, table):
         if table.row_count == 0:
             raise DataError("cannot fit an assembler on an empty table")
-        parts = self._row_parts(table, 0)
-        lengths = [p.dim if isinstance(p, FeatureVector) else 1 for p in parts]
+        lengths = [p.shape[1] for p in self._parts(table)]
         self.block_map_ = BlockMap.from_parts(self.input_cols, lengths)
         return self
 
     def transform(self, table):
         check_is_fitted(self, "block_map_")
-        vecs = tuple(
-            assemble(self._row_parts(table, i), self.block_map_)
-            for i in range(table.row_count)
-        )
-        return table.with_column(self.output_col, "vector", vecs)
+        parts = self._parts(table)
+        if [p.shape[1] for p in parts] != [b.length for b in self.block_map_.blocks]:
+            raise DataError("part dimensions do not match the fitted block map")
+        if parts:
+            features = sp.hstack(parts, format="csr")
+        else:
+            features = sp.csr_matrix((table.row_count, 0))
+        features.eliminate_zeros()
+        features.sort_indices()
+        return table.with_column(self.output_col, "vector", features)
 
     def state_to_json(self):
         return {"block_map": self.block_map_.to_json()}
@@ -309,17 +320,7 @@ class Pipeline(BaseEstimator):
                 )
 
     def fit(self, table):
-        current = table
-        for idx, stage in enumerate(self.stages):
-            self._check_inputs(stage, idx, current)
-            try:
-                stage.fit(current)
-                current = stage.transform(current)
-            except BookmlError as exc:
-                raise type(exc)(
-                    f"stage {idx} ({STAGE_NAMES[type(stage)]}): {exc}"
-                ) from exc
-        self.fitted_ = True
+        self.fit_transform(table)
         return self
 
     def transform(self, table):
@@ -331,7 +332,19 @@ class Pipeline(BaseEstimator):
         return current
 
     def fit_transform(self, table):
-        return self.fit(table).transform(table)
+        """Fit every stage and return the training table as the fit built it."""
+        current = table
+        for idx, stage in enumerate(self.stages):
+            self._check_inputs(stage, idx, current)
+            try:
+                stage.fit(current)
+                current = stage.transform(current)
+            except BookmlError as exc:
+                raise type(exc)(
+                    f"stage {idx} ({STAGE_NAMES[type(stage)]}): {exc}"
+                ) from exc
+        self.fitted_ = True
+        return current
 
     def to_json(self):
         return {

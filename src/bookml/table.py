@@ -2,7 +2,11 @@
 
 CSV-facing columns are text / int64 / float64 with per-column null masks.
 Pipelines may additionally carry in-memory-only "tokens" and "vector"
-columns, which cannot be parsed from or persisted to CSV.
+columns, which cannot be parsed from or persisted to CSV. A "tokens" column
+holds one tuple of strings per row. A "vector" column is backed by one
+float64 CSR matrix with a row per table row (sorted indices, no explicit
+zeros; a null row is an empty row); ``take`` slices its rows and
+``value_at(i)`` reads row i back as a ``FeatureVector``.
 
 Persisted form is a directory: ``schema.json`` (written last, acts as the
 completion marker) plus per-column binary arrays, see ``save_table``.
@@ -14,9 +18,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse as sp
 
 from .errors import ConfigError, DataError
-from .vectors import FeatureVector
+from .vectors import FeatureVector, rows_to_csr
 
 logger = logging.getLogger(__name__)
 
@@ -110,21 +115,24 @@ class Column:
             np_dtype = np.int64 if dtype == "int64" else np.float64
             values = np.asarray(values, dtype=np_dtype).copy()
             values.flags.writeable = False
+        elif dtype == "vector":
+            if not (sp.issparse(values) and values.format == "csr"):
+                raise DataError("a vector column is backed by one CSR matrix")
         else:
             values = tuple(values)
         mask = np.asarray(mask, dtype=bool).copy()
         mask.flags.writeable = False
-        if len(values) != mask.shape[0]:
+        if _length(values) != mask.shape[0]:
             raise DataError("column values and null mask lengths differ")
         self.values = values
         self.mask = mask
 
     def __len__(self):
-        return len(self.values)
+        return _length(self.values)
 
     def take(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
-        if self.dtype in ("int64", "float64"):
+        if self.dtype in ("int64", "float64", "vector"):
             vals = self.values[idx]
         else:
             vals = tuple(self.values[i] for i in idx.tolist())
@@ -132,7 +140,7 @@ class Column:
 
     def non_null_values(self):
         keep = ~self.mask
-        if self.dtype in ("int64", "float64"):
+        if self.dtype in ("int64", "float64", "vector"):
             return self.values[keep]
         return [v for v, m in zip(self.values, self.mask) if not m]
 
@@ -140,6 +148,8 @@ class Column:
         """Value at row i, or None when null."""
         if self.mask[i]:
             return None
+        if self.dtype == "vector":
+            return FeatureVector.from_csr_row(self.values, i)
         v = self.values[i]
         if self.dtype == "int64":
             return int(v)
@@ -155,9 +165,18 @@ class Column:
         keep = ~self.mask
         if self.dtype in ("int64", "float64"):
             return np.array_equal(self.values[keep], other.values[keep], equal_nan=True)
+        if self.dtype == "vector":
+            # Null rows are stored empty, so whole matrices compare.
+            return self.values.shape == other.values.shape and (
+                self.values != other.values
+            ).nnz == 0
         return all(
             a == b for a, b, k in zip(self.values, other.values, keep) if k
         )
+
+
+def _length(values):
+    return values.shape[0] if sp.issparse(values) else len(values)
 
 
 def _null_fill(dtype):
@@ -167,9 +186,7 @@ def _null_fill(dtype):
         return 0.0
     if dtype == "text":
         return ""
-    if dtype == "tokens":
-        return ()
-    return FeatureVector.empty(0)
+    return ()
 
 
 class Table:
@@ -192,7 +209,10 @@ class Table:
 
     @classmethod
     def build(cls, schema, data):
-        """Construct from {name: sequence}, with None marking nulls."""
+        """Construct from {name: sequence}, with None marking nulls.
+
+        A "vector" column takes a sequence of FeatureVectors.
+        """
         if not isinstance(schema, Schema):
             schema = Schema(schema)
         columns = {}
@@ -202,8 +222,13 @@ class Table:
             if row_count is None:
                 row_count = len(raw)
             mask = np.array([v is None for v in raw], dtype=bool)
-            fill = _null_fill(f.dtype)
-            vals = [fill if v is None else v for v in raw]
+            if f.dtype == "vector":
+                dim = next((v.dim for v in raw if v is not None), 0)
+                empty = FeatureVector.empty(dim)
+                vals = rows_to_csr([empty if v is None else v for v in raw], dim)
+            else:
+                fill = _null_fill(f.dtype)
+                vals = [fill if v is None else v for v in raw]
             columns[f.name] = Column(f.dtype, vals, mask)
         return cls(schema, columns, row_count or 0)
 
@@ -225,9 +250,12 @@ class Table:
         return self.take(np.arange(n))
 
     def with_column(self, name, dtype, values, mask=None):
-        """New table with one column appended (or replaced if name exists)."""
+        """New table with one column appended (or replaced if name exists).
+
+        values is a sequence, or a CSR matrix for a "vector" column.
+        """
         if mask is None:
-            mask = np.zeros(len(values), dtype=bool)
+            mask = np.zeros(_length(values), dtype=bool)
         col = Column(dtype, values, mask)
         if len(col) != self.row_count:
             raise DataError("new column length != row_count")

@@ -9,10 +9,10 @@ every document weighs exactly zero.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse as sp
 
 from .errors import DataError
 from .stopword_list import ENGLISH_STOPWORDS
-from .vectors import FeatureVector
 
 
 def tokenize(text):
@@ -87,19 +87,24 @@ def fit_count_vectorizer(docs, vocab_size, min_df=1):
     )
 
 
-def transform_counts(vocab, tokens):
-    """Sparse raw term counts over the vocabulary; OOV tokens are ignored."""
-    index = vocab.index() if not isinstance(vocab, dict) else vocab
-    counts = {}
-    for tok in tokens:
-        i = index.get(tok)
-        if i is not None:
-            counts[i] = counts.get(i, 0) + 1
-    dim = len(index)
-    if not counts:
-        return FeatureVector.empty(dim)
-    idx = sorted(counts)
-    return FeatureVector.sparse(dim, idx, [float(counts[i]) for i in idx])
+def count_matrix(index, docs):
+    """Raw term counts of tokenized docs as one CSR matrix, one row per doc.
+
+    index maps term -> column (``Vocabulary.index()``); OOV tokens are
+    ignored. Counts are float64, indices sorted within each row, and no
+    explicit zeros are stored.
+    """
+    cols = []
+    indptr = [0]
+    for doc in docs:
+        cols.extend([index[t] for t in doc if t in index])
+        indptr.append(len(cols))
+    X = sp.csr_matrix(
+        (np.ones(len(cols)), np.asarray(cols, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, len(index)),
+    )
+    X.sum_duplicates()
+    return X
 
 
 def idf_weights(doc_freq, corpus_size=None):
@@ -116,15 +121,16 @@ def idf_weights(doc_freq, corpus_size=None):
     return np.log((corpus_size + 1.0) / (df + 1.0))
 
 
-def transform_tfidf(counts, weights):
-    """Elementwise tf * idf; zero products drop out of the sparse form."""
+def tfidf_matrix(counts, weights):
+    """Columnwise tf * idf of a CSR count matrix; zero products are dropped."""
     weights = np.asarray(weights, dtype=np.float64)
-    if counts.dim != weights.shape[0]:
+    if counts.shape[1] != weights.shape[0]:
         raise DataError(
-            f"count vector dim {counts.dim} != weight vector dim {weights.shape[0]}"
+            f"count matrix dim {counts.shape[1]} != weight vector dim {weights.shape[0]}"
         )
-    if counts.is_sparse:
-        return FeatureVector.sparse(
-            counts.dim, counts.indices, counts.values * weights[counts.indices]
-        )
-    return FeatureVector.dense(counts.to_dense() * weights)
+    out = sp.csr_matrix(
+        (counts.data * weights[counts.indices], counts.indices.copy(), counts.indptr.copy()),
+        shape=counts.shape,
+    )
+    out.eliminate_zeros()
+    return out

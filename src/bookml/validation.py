@@ -58,10 +58,6 @@ def check_matching_dim(model_dim, X):
         raise DataError(f"feature dimension {X.shape[1]} does not match model dimension {model_dim}")
 
 
-def num_rows(X):
-    return X.shape[0]
-
-
 def row_scores(X, W, b):
     """X @ W.T + b for dense or CSR X; always returns a dense ndarray."""
     scores = X @ W.T

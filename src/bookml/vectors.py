@@ -1,8 +1,10 @@
 """Sparse/dense feature vectors, concatenation, and block bookkeeping.
 
-A FeatureVector is the unit record flowing out of every feature stage and
-into every model. Assembled vectors keep a block map (name, offset, length)
-so tree importances can be attributed back to the source columns.
+Feature stages emit whole columns as one CSR matrix; a FeatureVector is a
+single row of such a matrix, as read back per row by ``Column.value_at`` and
+written into artifact probe blocks. Assembled features keep a block map
+(name, offset, length) so tree importances can be attributed back to the
+source columns.
 """
 
 from dataclasses import dataclass
@@ -68,6 +70,12 @@ class FeatureVector:
     def empty(cls, dim):
         return cls(dim, indices=[], values=[])
 
+    @classmethod
+    def from_csr_row(cls, X, i):
+        """Row i of a CSR matrix as a sparse vector."""
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        return cls(X.shape[1], indices=X.indices[lo:hi], values=X.data[lo:hi])
+
     @property
     def is_sparse(self):
         return self._dense is None
@@ -110,9 +118,6 @@ class FeatureVector:
         if self.dim != other.dim:
             return False
         return self.items() == other.items()
-
-    def __hash__(self):
-        return hash((self.dim, tuple(self.items())))
 
     def __repr__(self):
         if self.is_sparse:
@@ -165,89 +170,45 @@ class BlockMap:
         return len(self.blocks)
 
 
-def part_length(part):
-    """Dimension contributed by one assemble part (scalars count as 1)."""
-    if isinstance(part, FeatureVector):
-        return part.dim
-    return 1
+def rows_to_csr(vectors, dim):
+    """Stack FeatureVectors of dimension dim into one CSR matrix.
 
-
-def assemble(parts, block_map=None):
-    """Concatenate scalars and FeatureVectors into one sparse FeatureVector.
-
-    When block_map is given, each part must match its declared block length;
-    otherwise the layout is implied by the parts themselves. Null scalars are
-    rejected: numeric features must be cleaned upstream.
+    Rows keep the vectors' order; indices are sorted within each row and no
+    explicit zeros are stored.
     """
-    lengths = []
-    for part in parts:
-        if not isinstance(part, FeatureVector):
-            if part is None or (isinstance(part, float) and np.isnan(part)):
-                raise DataError("null scalar passed to assemble")
-        lengths.append(part_length(part))
-    if block_map is not None:
-        if len(lengths) != len(block_map.blocks) or any(
-            n != b.length for n, b in zip(lengths, block_map.blocks)
-        ):
-            raise DataError("part dimensions do not match the fitted block map")
-    indices, values, offset = [], [], 0
-    for part, length in zip(parts, lengths):
-        if isinstance(part, FeatureVector):
-            if part.is_sparse:
-                indices.append(part.indices + offset)
-                values.append(part.values)
-            else:
-                nz = np.nonzero(part._dense)[0]
-                indices.append(nz + offset)
-                values.append(part._dense[nz])
-        else:
-            value = float(part)
-            if value != 0.0:
-                indices.append(np.array([offset], dtype=np.int64))
-                values.append(np.array([value], dtype=np.float64))
-        offset += length
-    if indices:
-        idx = np.concatenate(indices)
-        val = np.concatenate(values)
-    else:
-        idx, val = [], []
-    return FeatureVector.sparse(offset, idx, val)
+    vectors = list(vectors)
+    for v in vectors:
+        if v.dim != dim:
+            raise DataError("vectors disagree on dimension")
+    cols = [v.indices if v.is_sparse else np.nonzero(v._dense)[0] for v in vectors]
+    vals = [v.values if v.is_sparse else v._dense[c] for v, c in zip(vectors, cols)]
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    np.cumsum([c.shape[0] for c in cols], out=indptr[1:])
+    indices = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
+    data = np.concatenate(vals) if vals else np.empty(0, dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
+
+
+def dense_if_full(X, dense_threshold=0.25):
+    """Training matrix from a CSR feature matrix.
+
+    Returns a dense ndarray when nnz >= dense_threshold * rows * dim, the
+    CSR matrix itself otherwise; models accept both.
+    """
+    n, dim = X.shape
+    if dim == 0:
+        return np.zeros((n, 0), dtype=np.float64)
+    if X.nnz >= dense_threshold * n * dim:
+        return X.toarray()
+    return X
 
 
 def stack_vectors(vectors, dense_threshold=0.25):
     """Stack FeatureVectors of equal dimension into a 2-d training matrix.
 
-    Returns a dense ndarray when the occupancy is high, a CSR matrix
-    otherwise; models accept both.
+    Dense or CSR by the rule of ``dense_if_full``.
     """
     vectors = list(vectors)
     if not vectors:
         raise DataError("cannot stack zero vectors")
-    dim = vectors[0].dim
-    for v in vectors:
-        if v.dim != dim:
-            raise DataError("vectors disagree on dimension")
-    nnz = sum(v.nnz for v in vectors)
-    n = len(vectors)
-    if dim == 0:
-        return np.zeros((n, 0), dtype=np.float64)
-    if nnz >= dense_threshold * n * dim:
-        return np.vstack([v.to_dense() for v in vectors])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = np.empty(nnz, dtype=np.int64)
-    data = np.empty(nnz, dtype=np.float64)
-    pos = 0
-    for row, v in enumerate(vectors):
-        pairs = v.items() if not v.is_sparse else None
-        if v.is_sparse:
-            k = v.indices.shape[0]
-            indices[pos : pos + k] = v.indices
-            data[pos : pos + k] = v.values
-        else:
-            k = len(pairs)
-            for j, (i, x) in enumerate(pairs):
-                indices[pos + j] = i
-                data[pos + j] = x
-        pos += k
-        indptr[row + 1] = pos
-    return sp.csr_matrix((data, indices, indptr), shape=(n, dim))
+    return dense_if_full(rows_to_csr(vectors, vectors[0].dim), dense_threshold)

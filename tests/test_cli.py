@@ -218,6 +218,32 @@ class TestCompare:
         assert "single-class-dominant" in report["reason"]
 
 
+class TestFeaturePasses:
+    def test_each_split_transformed_once(self, prepared, monkeypatch):
+        from bookml.pipeline import AssembleColumns
+
+        rows = []
+        assemble = AssembleColumns.transform
+
+        def counting(self, table):
+            rows.append(table.row_count)
+            return assemble(self, table)
+
+        monkeypatch.setattr(AssembleColumns, "transform", counting)
+        assert main(["compare", "--out", str(prepared), "--vocab-size", "64",
+                     "--seed", "5"]) == 0
+        split = read_json(prepared / "compare_report.json")["split"]
+        assert rows == [split["train_rows"], split["test_rows"]]
+
+        rows.clear()
+        assert main(["train", "--out", str(prepared), "--model", "logistic",
+                     "--label-mode", "binary", "--tuning", "tvs",
+                     "--vocab-size", "64", "--seed", "5"]) == 0
+        split = read_json(prepared / "train_report.json")["split"]
+        # the probe block transforms the first 32 training rows
+        assert rows == [split["train_rows"], split["test_rows"], 32]
+
+
 class TestRecommendAndVerify:
     @pytest.fixture
     def als_ready(self, prepared):
@@ -265,6 +291,17 @@ class TestRecommendAndVerify:
 
     def test_verify_model_roundtrip(self, als_ready):
         assert main(["verify-model", "--out", str(als_ready)]) == 0
+
+    def test_verify_model_writes_done_marker(self, als_ready, tmp_path):
+        marker = als_ready / "verify-model.done"
+        marker.unlink(missing_ok=True)
+        assert main(["verify-model", "--out", str(als_ready)]) == 0
+        assert marker.exists()
+        doc = read_json(als_ready / "model.json")
+        doc["probes"]["pairs"][0]["score"] += 1.0
+        (tmp_path / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-model", "--path", str(tmp_path / "model.json")]) == 3
+        assert not (tmp_path / "verify-model.done").exists()
 
     @pytest.mark.parametrize("model", ["logistic", "svc", "gbt"])
     def test_verify_classifier_artifact(self, prepared, model):
@@ -318,6 +355,40 @@ class TestConfigFile:
 
     def test_missing_config_file(self):
         assert main(["prepare", "--config", "/definitely/not/here.json"]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"cv_k": "3", "tuning": "cv"},
+        {"cv_k": True},
+        {"use_review_text": 1},
+        {"tvs_ratio": "0.8"},
+        {"grid": [1, 2]},
+    ])
+    def test_config_value_types_checked(self, prepared, tmp_path, doc):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["train", "--out", str(prepared), "--model", "logistic",
+                     "--config", str(cfg)])
+        assert code == 2
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        from bookml.cli import load_config
+
+        cfg = tmp_path / "ints.json"
+        cfg.write_text(json.dumps({"als_reg": 1, "sample_rows": None}), encoding="utf-8")
+        assert load_config(str(cfg), {}).als_reg == 1
+
+    @pytest.mark.parametrize("flag", ["--vocab-size", "--min-df"])
+    def test_nonpositive_vocab_settings_rejected_before_loading(self, tmp_path, flag):
+        # No prepared table exists here: a config error must come first.
+        code = main(["train", "--out", str(tmp_path / "fresh"), "--model", "logistic",
+                     flag, "0"])
+        assert code == 2
+
+    def test_sample_rows_rejected_outside_prepare(self, prepared):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--out", str(prepared), "--model", "logistic",
+                  "--sample-rows", "10"])
+        assert exc.value.code == 2
 
 
 class TestSynthCommand:

@@ -3,8 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse as sp
 
-from bookml import DataError, Pipeline, Table, pipeline_fit_transform
+from bookml import (
+    DataError,
+    FeatureVector,
+    Pipeline,
+    Table,
+    idf_weights,
+    pipeline_fit_transform,
+)
 from bookml.pipeline import (
     AssembleColumns,
     CountTokens,
@@ -128,3 +137,94 @@ def test_idf_stage_refits_dfs_from_counts(two_doc_table):
     np.testing.assert_allclose(
         idf_stage.weights_, [math.log(1.5), 0.0, math.log(1.5)]
     )
+
+
+def test_assembler_output_is_canonical():
+    # A raw CSR matrix that breaks the vector-column form (an explicit zero,
+    # unsorted indices): the assembler still hands models the canonical form.
+    raw = sp.csr_matrix(
+        (np.array([3.0, 0.0, 1.0]), np.array([2, 1, 0]), np.array([0, 3])), shape=(1, 3)
+    )
+    table = Table.build([("x", "float64", False)], {"x": [0.0]}).with_column("v", "vector", raw)
+    features = AssembleColumns(["x", "v"], "f").fit_transform(table).column("f").values
+    assert features.indices.tolist() == [1, 3]
+    assert features.data.tolist() == [1.0, 3.0]
+
+
+REFERENCE_WORDS = ["alpha", "Beta", "beta", "gamma", "delta", "the"]
+REFERENCE_STOP = frozenset({"the"})
+
+
+def reference_features(fit_texts, texts, fit_prices, prices, terms):
+    """Per-row FeatureVectors of [price_norm | counts | tfidf] from plain dicts."""
+    def tokens(text):
+        return [] if text is None else [t for t in text.lower().split() if t not in REFERENCE_STOP]
+
+    index = {t: j for j, t in enumerate(terms)}
+    df = dict.fromkeys(terms, 0)
+    for text in fit_texts:
+        for t in set(tokens(text)) & set(index):
+            df[t] += 1
+    idf = idf_weights([df[t] for t in terms], len(fit_texts))
+    lo, hi = min(fit_prices), max(fit_prices)
+    dim = 1 + 2 * len(terms)
+    rows = []
+    for text, price in zip(texts, prices):
+        counts = {}
+        for t in tokens(text):
+            if t in index:
+                counts[index[t]] = counts.get(index[t], 0) + 1
+        entries = {0: (price - lo) / (hi - lo)}
+        for j, c in counts.items():
+            entries[1 + j] = float(c)
+            entries[1 + len(terms) + j] = c * idf[j]
+        keep = sorted(j for j, v in entries.items() if v != 0.0)
+        rows.append(FeatureVector.sparse(dim, keep, [entries[j] for j in keep]))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    docs=st.lists(
+        st.lists(st.sampled_from(REFERENCE_WORDS), max_size=6).map(" ".join),
+        min_size=1, max_size=10,
+    ),
+    prices=st.lists(st.floats(1.0, 9.0), min_size=10, max_size=10),
+    vocab_size=st.sampled_from([2, 16]),
+)
+def test_columnwise_stages_match_per_row_reference(docs, prices, vocab_size):
+    # "every" is in every fit doc, so with the full vocabulary it weighs 0.
+    fit_texts = [d + " every" for d in docs] + ["alpha every", "beta every"]
+    fit_prices = prices[: len(docs)] + [1.0, 9.0]
+    # null, empty, all-OOV and stop-word-only docs; the price at the fitted
+    # minimum scales to exactly 0.
+    texts = fit_texts + [None, "", "zzz qqq", "the"]
+    test_prices = fit_prices + [1.0, 5.0, 9.0, 1.0]
+    schema = [("r_summary", "text", True), ("price", "float64", False)]
+    stages = [
+        ScaleMinMax("price", "price_norm"),
+        TokenizeText("r_summary", "tokens"),
+        FilterStopwords("tokens", "clean", stopwords=REFERENCE_STOP),
+        CountTokens("clean", "counts", vocab_size=vocab_size, min_df=1),
+        WeightIdf("counts", "tfidf"),
+        AssembleColumns(["price_norm", "counts", "tfidf"], "features"),
+    ]
+    pipe = Pipeline(stages)
+    fit_out = pipe.fit_transform(
+        Table.build(schema, {"r_summary": fit_texts, "price": fit_prices})
+    )
+    out = pipe.transform(Table.build(schema, {"r_summary": texts, "price": test_prices}))
+    terms = pipe.stages[3].vocabulary_.terms
+    if vocab_size == 16:
+        assert pipe.stages[4].weights_[terms.index("every")] == 0.0
+
+    for table, rows, row_prices in ((fit_out, fit_texts, fit_prices), (out, texts, test_prices)):
+        want = reference_features(fit_texts, rows, fit_prices, row_prices, terms)
+        for name in ("counts", "tfidf", "features"):
+            X = table.column(name).values
+            assert X.has_sorted_indices
+            assert np.all(X.data != 0.0)
+        got = [table.column("features").value_at(i) for i in range(table.row_count)]
+        assert got == want
+    # null text at the fitted minimum price: the row stores nothing
+    assert out.column("features").value_at(len(fit_texts)).nnz == 0

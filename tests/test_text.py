@@ -12,10 +12,20 @@ from bookml import (
     idf_weights,
     remove_stopwords,
     tokenize,
-    transform_counts,
-    transform_tfidf,
 )
 from bookml.stopword_list import ENGLISH_STOPWORDS
+from bookml.text import count_matrix, tfidf_matrix
+from bookml.vectors import rows_to_csr
+
+
+def transform_counts(vocab, tokens):
+    """Counts of one doc, read back as row 0 of the column-wise count matrix."""
+    return FeatureVector.from_csr_row(count_matrix(vocab.index(), [tokens]), 0)
+
+
+def transform_tfidf(counts, weights):
+    """tf-idf of one count vector through the column-wise tfidf_matrix."""
+    return FeatureVector.from_csr_row(tfidf_matrix(rows_to_csr([counts], counts.dim), weights), 0)
 
 
 class TestTokenize:

@@ -2,8 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bookml import BlockMap, DataError, FeatureVector, assemble, stack_vectors
+from bookml import BlockMap, DataError, FeatureVector, Table, stack_vectors
+from bookml.pipeline import AssembleColumns
 from bookml.vectors import Block
+
+
+def assemble(parts, block_map=None):
+    """One row of scalars (None for null) and FeatureVectors through AssembleColumns."""
+    names = [f"p{i}" for i in range(len(parts))]
+    schema = [
+        (name, "vector" if isinstance(part, FeatureVector) else "float64", True)
+        for name, part in zip(names, parts)
+    ]
+    table = Table.build(schema, {name: [part] for name, part in zip(names, parts)})
+    stage = AssembleColumns(names, "features")
+    if block_map is None:
+        stage.fit(table)
+    else:
+        stage.block_map_ = block_map
+    return stage.transform(table).column("features").value_at(0)
 
 
 def test_sparse_indices_sorted_and_deduped():
