@@ -210,9 +210,9 @@ def test_columnwise_stages_match_per_row_reference(docs, prices, vocab_size):
         AssembleColumns(["price_norm", "counts", "tfidf"], "features"),
     ]
     pipe = Pipeline(stages)
-    fit_out = pipe.fit_transform(
-        Table.build(schema, {"r_summary": fit_texts, "price": fit_prices})
-    )
+    fit_table = Table.build(schema, {"r_summary": fit_texts, "price": fit_prices})
+    fit_out = pipe.fit_transform(fit_table)
+    assert pipe.transform(fit_table).equals(fit_out)
     out = pipe.transform(Table.build(schema, {"r_summary": texts, "price": test_prices}))
     terms = pipe.stages[3].vocabulary_.terms
     if vocab_size == 16:
