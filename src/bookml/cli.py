@@ -3,8 +3,8 @@
 Commands are idempotent for a fixed config and seed: reports differ only in
 wall-time fields. Every report echoes the full effective configuration,
 defaults included, and each command drops a ``<command>.done`` marker in
-the output directory when it finishes writing (``verify-model`` drops it
-beside the artifact it verified).
+the output directory when it finishes writing (``verify-model`` only when
+the artifact verifies).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -55,7 +55,6 @@ from .table import (
     split_random,
 )
 from .tree import DecisionTreeClassifier
-from .validation import stack_vectors
 from .vectors import dense_if_full
 
 CLASSIFIER_MODELS = ("logistic", "svc", "dtree", "rforest", "gbt")
@@ -337,7 +336,7 @@ def _probe_block(pipe, model, table, cfg):
     probe = table.head(min(PROBE_ROWS, table.row_count))
     out = pipe.transform(probe)
     feats = [out.column("features").value_at(i) for i in range(out.row_count)]
-    X = stack_vectors(feats)
+    X = feature_matrix(out)
     preds = model.predict(X)
     inputs = {}
     for name in ("price", "r_time", "r_summary", "r_review"):
@@ -654,7 +653,7 @@ def cmd_verify(path):
             got = {"dim": vec.dim, "indices": vec.indices.tolist(), "values": vec.values.tolist()}
             if got != expect:
                 mismatches.append(f"feature vector {i} differs")
-        X = stack_vectors(feats)
+        X = feature_matrix(out)
         preds = model.predict(X)
         for i, (got, expect) in enumerate(zip(preds, probes["expected_labels"])):
             if int(got) != expect:
@@ -679,7 +678,6 @@ def cmd_verify(path):
             f"{path}: verification failed with {len(mismatches)} mismatch(es): "
             + "; ".join(mismatches[:5])
         )
-    _mark_done(Path(path).parent, "verify-model")
     print(f"{path}: verified ({artifact['artifact']})")
     return 0
 
@@ -804,6 +802,8 @@ def main(argv=None):
         elif args.command == "verify-model":
             path = args.path or (Path(cfg.out_dir) / "model.json")
             cmd_verify(path)
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+            _mark_done(cfg.out_dir, "verify-model")
         return 0
     except BookmlError as exc:
         print(f"error: {exc}", file=sys.stderr)

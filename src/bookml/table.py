@@ -5,7 +5,8 @@ Pipelines may additionally carry in-memory-only "tokens" and "vector"
 columns, which cannot be parsed from or persisted to CSV. A "tokens" column
 holds one tuple of strings per row. A "vector" column is backed by one
 float64 CSR matrix with a row per table row (sorted indices, no explicit
-zeros; a null row is an empty row); ``take`` slices its rows and
+zeros; a null row is an empty row) whose arrays, like those of numeric
+columns, are read-only; ``take`` slices its rows and
 ``value_at(i)`` reads row i back as a ``FeatureVector``.
 
 Persisted form is a directory: ``schema.json`` (written last, acts as the
@@ -118,6 +119,8 @@ class Column:
         elif dtype == "vector":
             if not (sp.issparse(values) and values.format == "csr"):
                 raise DataError("a vector column is backed by one CSR matrix")
+            for arr in (values.data, values.indices, values.indptr):
+                arr.flags.writeable = False
         else:
             values = tuple(values)
         mask = np.asarray(mask, dtype=bool).copy()

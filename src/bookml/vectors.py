@@ -189,21 +189,25 @@ def rows_to_csr(vectors, dim):
     return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
 
 
-def dense_if_full(X, dense_threshold=0.25):
+# A training matrix is dense when at least this share of its cells is nonzero.
+DENSE_OCCUPANCY = 0.25
+
+
+def dense_if_full(X):
     """Training matrix from a CSR feature matrix.
 
-    Returns a dense ndarray when nnz >= dense_threshold * rows * dim, the
+    Returns a dense ndarray when nnz >= DENSE_OCCUPANCY * rows * dim, the
     CSR matrix itself otherwise; models accept both.
     """
     n, dim = X.shape
     if dim == 0:
         return np.zeros((n, 0), dtype=np.float64)
-    if X.nnz >= dense_threshold * n * dim:
+    if X.nnz >= DENSE_OCCUPANCY * n * dim:
         return X.toarray()
     return X
 
 
-def stack_vectors(vectors, dense_threshold=0.25):
+def stack_vectors(vectors):
     """Stack FeatureVectors of equal dimension into a 2-d training matrix.
 
     Dense or CSR by the rule of ``dense_if_full``.
@@ -211,4 +215,4 @@ def stack_vectors(vectors, dense_threshold=0.25):
     vectors = list(vectors)
     if not vectors:
         raise DataError("cannot stack zero vectors")
-    return dense_if_full(rows_to_csr(vectors, vectors[0].dim), dense_threshold)
+    return dense_if_full(rows_to_csr(vectors, vectors[0].dim))

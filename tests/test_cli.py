@@ -300,8 +300,16 @@ class TestRecommendAndVerify:
         doc = read_json(als_ready / "model.json")
         doc["probes"]["pairs"][0]["score"] += 1.0
         (tmp_path / "model.json").write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["verify-model", "--path", str(tmp_path / "model.json")]) == 3
-        assert not (tmp_path / "verify-model.done").exists()
+        run = tmp_path / "run"
+        assert main(["verify-model", "--path", str(tmp_path / "model.json"),
+                     "--out", str(run)]) == 3
+        assert not (run / "verify-model.done").exists()
+
+    def test_verify_model_marker_goes_to_out(self, als_ready, tmp_path):
+        run = tmp_path / "run"
+        assert main(["verify-model", "--path", str(als_ready / "model.json"),
+                     "--out", str(run)]) == 0
+        assert (run / "verify-model.done").exists()
 
     @pytest.mark.parametrize("model", ["logistic", "svc", "gbt"])
     def test_verify_classifier_artifact(self, prepared, model):

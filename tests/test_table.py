@@ -3,6 +3,7 @@ import pytest
 from bookml import (
     ConfigError,
     DataError,
+    FeatureVector,
     Field,
     IngestOptions,
     Schema,
@@ -248,6 +249,14 @@ class TestTableCore:
         t = Table.build([("x", "int64", True)], {"x": [1, 2]})
         with pytest.raises(ValueError):
             t.column("x").values[0] = 99
+        v = Table.build(
+            [("v", "vector", True)], {"v": [FeatureVector(3, [0, 2], [1.0, 2.0]), None]}
+        )
+        for t in (v, v.take([1, 0])):
+            X = t.column("v").values
+            for arr in (X.data, X.indices, X.indptr):
+                with pytest.raises(ValueError):
+                    arr[0] = 7
 
     def test_save_load_roundtrip(self, tmp_path):
         t = Table.build(
