@@ -244,7 +244,11 @@ def grow_tree(X, y, max_depth=5, min_instances_per_node=1, max_bins=32,
             right=build(right_idx, depth + 1),
         )
 
-    return build(np.arange(X.shape[0]), 0)
+    root = build(np.arange(X.shape[0]), 0)
+    # build refers to itself through its closure cell; break that cycle so
+    # X and y are freed when the caller drops them, not at the next GC pass.
+    build = None
+    return root
 
 
 def route(root, row):

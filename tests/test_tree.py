@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -197,6 +200,22 @@ class TestGrowAndPredict:
                 span_hi = min(hi[f], row[f] + 0.1)
                 wiggled[f] = rng.uniform(span_lo, min(span_hi, np.nextafter(hi[f], -np.inf)))
                 assert route(root, wiggled) is leaf
+
+    def test_grow_tree_releases_its_inputs(self, rng):
+        # No reference cycle may keep the training matrix alive after the
+        # builder returns: with the cyclic collector off, it must be freed
+        # as soon as the caller drops it.
+        X = rng.normal(0, 1, (120, 3))
+        y = rng.integers(0, 2, 120)
+        ref = weakref.ref(X)
+        gc.disable()
+        try:
+            root = grow_tree(X, y, max_depth=4)
+            del X
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert not root.is_leaf
 
     def test_json_roundtrip(self, rng):
         X = rng.normal(0, 1, (60, 3))
