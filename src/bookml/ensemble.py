@@ -13,7 +13,14 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import DataError, NumericError
-from .tree import TreeNode, accumulate_importances, grow_tree, route, tree_predict_matrix
+from .tree import (
+    FeatureBins,
+    TreeNode,
+    accumulate_importances,
+    grow_tree,
+    route_rows,
+    tree_predict_matrix,
+)
 from .validation import as_feature_matrix, as_label_array, check_labels_in_range
 
 
@@ -58,27 +65,26 @@ class RandomForestClassifier(BaseEstimator):
         if subset > d:
             raise DataError(f"feature_subset_size {subset} exceeds dimension {d}")
         seeds = np.random.SeedSequence(self.seed).spawn(self.num_trees)
+        bins = FeatureBins(X, self.max_bins)
         trees = []
         for ss in seeds:
             rng = np.random.default_rng(ss)
-            if self.bootstrap:
-                idx = rng.integers(0, n, n)
-                Xi, yi = X[idx], y[idx]
-            else:
-                Xi, yi = X, y
+            rows = rng.integers(0, n, n) if self.bootstrap else None
 
             def picker(n_features, rng=rng, size=subset):
                 return rng.choice(n_features, size=size, replace=False)
 
             trees.append(
                 grow_tree(
-                    Xi, yi,
+                    X, y,
                     max_depth=self.max_depth,
                     min_instances_per_node=self.min_instances_per_node,
                     max_bins=self.max_bins,
                     criterion="gini",
                     num_classes=k,
                     feature_picker=picker,
+                    bins=bins,
+                    rows=rows,
                 )
             )
         self.trees_ = trees
@@ -172,6 +178,7 @@ class GradientBoostedTreesClassifier(BaseEstimator):
         p = yf.mean()
         self.initial_score_ = float(np.log(p / (1.0 - p)))
         scores = np.full(X.shape[0], self.initial_score_)
+        bins = FeatureBins(X, self.max_bins)
         trees = []
         losses = [_log_loss(yf, _sigmoid(scores))]
         for _ in range(self.num_iters):
@@ -183,18 +190,18 @@ class GradientBoostedTreesClassifier(BaseEstimator):
                 min_instances_per_node=self.min_instances_per_node,
                 max_bins=self.max_bins,
                 criterion="variance",
+                bins=bins,
             )
-            leaves = [route(root, X[i]) for i in range(X.shape[0])]
-            num, den = {}, {}
-            for leaf, r, q in zip(leaves, resid, prob):
-                num[id(leaf)] = num.get(id(leaf), 0.0) + r
-                den[id(leaf)] = den.get(id(leaf), 0.0) + q * (1.0 - q)
-            values = {
-                k: (num[k] / den[k] if den[k] > 1e-12 else 0.0) for k in num
-            }
-            _set_leaf_values(root, values)
-            step = np.array([values[id(leaf)] for leaf in leaves])
-            scores = scores + self.learning_rate * step
+            # One Newton step per leaf: sum of residuals over sum of
+            # q(1 - q), both added in row order; 0 where the hessian vanishes.
+            leaves, slot = route_rows(root, X)
+            num = np.bincount(slot, weights=resid, minlength=len(leaves))
+            den = np.bincount(slot, weights=prob * (1.0 - prob), minlength=len(leaves))
+            values = np.zeros(len(leaves))
+            np.divide(num, den, out=values, where=den > 1e-12)
+            for leaf, value in zip(leaves, values):
+                leaf.prediction = float(value)
+            scores = scores + self.learning_rate * values[slot]
             if not np.all(np.isfinite(scores)):
                 raise NumericError("boosting scores diverged; lower learning_rate")
             trees.append(root)
@@ -254,14 +261,6 @@ class GradientBoostedTreesClassifier(BaseEstimator):
         model.trees_ = [TreeNode.from_json(t) for t in doc["trees"]]
         model.train_loss_ = None
         return model
-
-
-def _set_leaf_values(node, values):
-    if node.is_leaf:
-        node.prediction = values.get(id(node), 0.0)
-        return
-    _set_leaf_values(node.left, values)
-    _set_leaf_values(node.right, values)
 
 
 @dataclass

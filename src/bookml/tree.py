@@ -1,11 +1,19 @@
-"""CART-style binary trees: impurity, quantile-binned split search, builders.
+"""CART-style binary trees: impurity, histogram split search, builders.
 
 One split convention everywhere, including serialized form: a row goes left
-iff feature value <= threshold. Candidate thresholds per feature are the
-boundaries of up to max_bins equal-frequency bins; when a feature has at
-most max_bins distinct values the candidates are exactly the midpoints
-between consecutive distinct values, which is what the exhaustive-search
-oracle in the tests enumerates.
+iff feature value <= threshold.
+
+Features are binned once per fit (FeatureBins), as Spark MLlib does with
+maxBins. A feature with at most max_bins distinct values among the fit's
+rows gets one bin per value, so its candidates at a node are exactly the
+midpoints between consecutive distinct values present there, which is what
+the exhaustive-search oracle in the tests enumerates. Any other feature
+gets the root's equal-frequency cuts (candidate_thresholds) and keeps them
+at every node. A node scores every candidate from histograms of the bin
+codes of its rows, as LightGBM does: one bincount gives per-bin class
+counts (gini) or target sums (variance), and cumulative sums over the bins
+give both children of every candidate at once. Prediction sends rows down
+a tree one node at a time (route_rows).
 """
 
 import numpy as np
@@ -103,167 +111,266 @@ def candidate_thresholds(values, max_bins):
     return np.unique(np.asarray(cuts))
 
 
-def _split_gain_classification(values, y, num_classes, thresholds):
-    """Weighted gini decrease for every candidate threshold (vectorized)."""
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = y[order]
-    n = sv.shape[0]
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), sy] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    total = cum[-1]
+class FeatureBins:
+    """A dense matrix binned once per fit.
+
+    codes[f, i] is the bin of row i for feature f, in the smallest unsigned
+    dtype that holds max_bins codes. A feature with at most max_bins
+    distinct values has values[f], its sorted distinct values, and one bin
+    per value. Any other feature has cuts[f], the root's equal-frequency
+    thresholds; its code is the number of cuts below the value, so a value
+    is <= cuts[f][c] iff its code is <= c. width is the largest bin count.
+    """
+
+    __slots__ = ("codes", "values", "cuts", "width")
+
+    def __init__(self, X, max_bins):
+        X = np.asarray(X, dtype=np.float64)
+        n, d = X.shape
+        self.codes = np.empty((d, n), dtype=np.min_scalar_type(max(max_bins - 1, 0)))
+        self.values, self.cuts = [None] * d, [None] * d
+        self.width = 1
+        for f in range(d):
+            column = X[:, f]
+            distinct = np.unique(column)
+            if distinct.shape[0] <= max_bins:
+                self.values[f] = distinct
+                self.codes[f] = np.searchsorted(distinct, column)
+                self.width = max(self.width, distinct.shape[0])
+            else:
+                self.cuts[f] = cuts = candidate_thresholds(column, max_bins)
+                self.codes[f] = np.searchsorted(cuts, column)
+                self.width = max(self.width, cuts.shape[0] + 1)
+
+    def threshold(self, f, b, counts):
+        """Threshold of the split after bin b of feature f at a node.
+
+        counts are the node's per-bin row counts for f. A one-value-per-bin
+        feature splits halfway between the node's largest value going left
+        and its smallest value going right, or at the left value where that
+        midpoint of two adjacent floats rounds up to the right one; a cut
+        feature splits at its cut.
+        """
+        if self.cuts[f] is not None:
+            return float(self.cuts[f][b])
+        occupied = np.flatnonzero(counts)
+        lo = self.values[f][occupied[occupied <= b][-1]]
+        hi = self.values[f][occupied[occupied > b][0]]
+        mid = (lo + hi) / 2.0
+        return float(mid if mid < hi else lo)
+
+
+# Largest (rows x features) block one histogram bincount covers, which
+# bounds the temporary keys and weights of a node's search.
+HISTOGRAM_BLOCK = 1 << 20
+
+
+def _histograms(bins, rows, features, y, num_classes):
+    """Per-bin statistics of the node's rows for each feature: (p, width, s).
+
+    With num_classes, s = K class counts (gini). Without, s = 3: the row
+    count, target sum and sum of squares (variance); the sums add each
+    bin's rows in row order.
+    """
+    n, width = rows.shape[0], bins.width
+    step = max(1, HISTOGRAM_BLOCK // n)
+    parts = []
+    for start in range(0, features.shape[0], step):
+        chunk = features[start:start + step]
+        keys = bins.codes[chunk][:, rows].astype(np.intp)
+        keys += (np.arange(chunk.shape[0]) * width)[:, None]
+        size = chunk.shape[0] * width
+        if num_classes is not None:
+            keys = (keys * num_classes + y).ravel()
+            hist = np.bincount(keys, minlength=size * num_classes)
+            parts.append(hist.reshape(chunk.shape[0], width, num_classes))
+        else:
+            keys = keys.ravel()
+            targets = np.tile(y, chunk.shape[0])
+            stats = [
+                np.bincount(keys, minlength=size),
+                np.bincount(keys, weights=targets, minlength=size),
+                np.bincount(keys, weights=targets**2, minlength=size),
+            ]
+            parts.append(np.stack(stats, axis=-1).reshape(chunk.shape[0], width, 3))
+    return np.concatenate(parts)
+
+
+def _gini_gains(cum, n):
+    """Weighted gini decrease of the split after each bin, from cumulative class counts."""
+    cum = cum.astype(np.float64)
+    total = cum[0, -1]
     parent = 1.0 - ((total / n) ** 2).sum()
-    pos = np.searchsorted(sv, thresholds, side="right")
-    valid = (pos >= 1) & (pos <= n - 1)
-    pos = np.clip(pos, 1, n - 1)
-    left = cum[pos - 1]
+    left = cum[:, :-1]
     right = total - left
-    nl = pos.astype(np.float64)
+    nl = left.sum(axis=2)
     nr = n - nl
-    gini_l = 1.0 - (left**2).sum(axis=1) / nl**2
-    gini_r = 1.0 - (right**2).sum(axis=1) / nr**2
-    gains = parent - (nl / n) * gini_l - (nr / n) * gini_r
-    return np.where(valid, gains, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_l = 1.0 - (left**2).sum(axis=2) / nl**2
+        gini_r = 1.0 - (right**2).sum(axis=2) / nr**2
+        gains = parent - (nl / n) * gini_l - (nr / n) * gini_r
+    return np.where((nl >= 1) & (nr >= 1), gains, -np.inf)
 
 
-def _split_gain_regression(values, y, thresholds):
-    """Variance decrease for every candidate threshold (vectorized)."""
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = y[order]
-    n = sv.shape[0]
-    cum = np.cumsum(sy)
-    cum2 = np.cumsum(sy**2)
-    parent = cum2[-1] / n - (cum[-1] / n) ** 2
-    pos = np.searchsorted(sv, thresholds, side="right")
-    valid = (pos >= 1) & (pos <= n - 1)
-    pos = np.clip(pos, 1, n - 1)
-    nl = pos.astype(np.float64)
+def _variance_gains(cum, n):
+    """Variance decrease of the split after each bin, from cumulative count, sum and sum of squares."""
+    counts, sums, squares = cum[..., 0], cum[..., 1], cum[..., 2]
+    parent = squares[:, -1:] / n - (sums[:, -1:] / n) ** 2
+    nl = counts[:, :-1]
     nr = n - nl
-    sl, sl2 = cum[pos - 1], cum2[pos - 1]
-    sr, sr2 = cum[-1] - sl, cum2[-1] - sl2
-    var_l = sl2 / nl - (sl / nl) ** 2
-    var_r = sr2 / nr - (sr / nr) ** 2
-    gains = parent - (nl / n) * var_l - (nr / n) * var_r
-    return np.where(valid, gains, -np.inf)
+    sl, sl2 = sums[:, :-1], squares[:, :-1]
+    sr, sr2 = sums[:, -1:] - sl, squares[:, -1:] - sl2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_l = sl2 / nl - (sl / nl) ** 2
+        var_r = sr2 / nr - (sr / nr) ** 2
+        gains = parent - (nl / n) * var_l - (nr / n) * var_r
+    return np.where((nl >= 1) & (nr >= 1), gains, -np.inf)
 
 
 def best_split(X, y, feature_subset=None, max_bins=32, criterion="gini",
-               num_classes=None, allow_zero_gain=False):
+               num_classes=None, allow_zero_gain=False, rows=None):
     """Best (feature, threshold, gain) over the candidate grid, or None.
 
-    Ties break toward the lower feature index, then the lower threshold;
-    None when no candidate has positive gain. criterion is "gini" for class
-    labels or "variance" for real targets.
+    X is a dense matrix, binned here with max_bins, or the FeatureBins of
+    one; rows (default all) are the node's rows of it and y holds their
+    targets in that order. Ties break toward the lower feature index, then
+    the lower threshold; None when no candidate has positive gain.
+    criterion is "gini" for class labels or "variance" for real targets.
 
     allow_zero_gain additionally admits zero-gain candidates (tree builders
     use this so impurity patterns like XOR, where every single split is
     gain-free, can still be separated within the depth budget).
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] < 2:
+    if not isinstance(X, FeatureBins):
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[0] < 2:
+            return None
+        X = FeatureBins(X, max_bins)
+    if rows is None:
+        rows = np.arange(X.codes.shape[1])
+    n = rows.shape[0]
+    if n < 2 or X.width < 2:
         return None
     if feature_subset is None:
-        feature_subset = np.arange(X.shape[1])
+        feature_subset = np.arange(X.codes.shape[0])
     features = np.sort(np.asarray(feature_subset, dtype=np.int64))
     if criterion == "gini":
-        y = as_label_array(y, X.shape[0])
+        y = as_label_array(y, n)
         k = int(num_classes) if num_classes else int(y.max()) + 1
+        hist = _histograms(X, rows, features, y, k)
+        gains = _gini_gains(np.cumsum(hist, axis=1), n)
+        counts = hist.sum(axis=2)
     else:
         y = np.asarray(y, dtype=np.float64)
-    best = None
-    for f in features:
-        values = X[:, f]
-        thresholds = candidate_thresholds(values, max_bins)
-        if thresholds.shape[0] == 0:
-            continue
-        if criterion == "gini":
-            gains = _split_gain_classification(values, y, k, thresholds)
-        else:
-            gains = _split_gain_regression(values, y, thresholds)
-        # Gains below the noise floor collapse to exactly 0 so ties across
-        # features resolve by index, not by last-ulp arithmetic noise.
-        gains = np.where(np.abs(gains) < MIN_GAIN, 0.0, gains)
-        i = int(np.argmax(gains))
-        floor = -MIN_GAIN if allow_zero_gain else MIN_GAIN
-        if gains[i] > floor and (best is None or gains[i] > best[2]):
-            best = (int(f), float(thresholds[i]), max(float(gains[i]), 0.0))
-    return best
+        hist = _histograms(X, rows, features, y, None)
+        gains = _variance_gains(np.cumsum(hist, axis=1), n)
+        counts = hist[..., 0]
+    # Gains below the noise floor collapse to exactly 0 so ties across
+    # features resolve by index, not by last-ulp arithmetic noise.
+    gains = np.where(np.abs(gains) < MIN_GAIN, 0.0, gains)
+    per_feature = gains.max(axis=1)
+    j = int(np.argmax(per_feature))
+    floor = -MIN_GAIN if allow_zero_gain else MIN_GAIN
+    if not per_feature[j] > floor:
+        return None
+    b = int(np.argmax(gains[j]))
+    f = int(features[j])
+    return f, X.threshold(f, b, counts[j]), max(float(gains[j, b]), 0.0)
 
 
-def _leaf(y, num_classes, criterion):
+def _is_pure(y, criterion):
+    if criterion == "gini":
+        return np.unique(y).shape[0] == 1
+    return float(y.max() - y.min()) < 1e-15
+
+
+def _leaf_prediction(y, num_classes, criterion):
     if criterion == "gini":
         counts = np.bincount(y, minlength=num_classes).astype(np.float64)
-        return TreeNode(y.shape[0], prediction=counts / counts.sum())
-    return TreeNode(y.shape[0], prediction=float(y.mean()))
+        return counts / counts.sum()
+    return float(y.mean())
 
 
 def grow_tree(X, y, max_depth=5, min_instances_per_node=1, max_bins=32,
-              criterion="gini", num_classes=None, feature_picker=None):
-    """Recursive greedy builder shared by the tree, forest, and boosting models.
+              criterion="gini", num_classes=None, feature_picker=None,
+              bins=None, rows=None):
+    """Greedy depth-first builder shared by the tree, forest, and boosting models.
 
     feature_picker(n_features) -> index array lets forests draw a fresh
-    random feature subset per node; None considers every feature.
+    random feature subset per node; None considers every feature. bins is
+    X's FeatureBins, so a caller growing many trees on one matrix bins it
+    once; None bins X here. rows (default all) are the training rows of X
+    and may repeat, as a bootstrap sample does; y is aligned with X.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] == 0:
+    rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows)
+    if rows.shape[0] == 0:
         raise DataError("cannot grow a tree from zero rows")
     if criterion == "gini":
         y = as_label_array(y, X.shape[0])
-        num_classes = int(num_classes) if num_classes else int(y.max()) + 1
+        num_classes = int(num_classes) if num_classes else int(y[rows].max()) + 1
     else:
         y = np.asarray(y, dtype=np.float64)
-
-    def build(idx, depth):
+    if bins is None:
+        bins = FeatureBins(X, max_bins)
+    root = TreeNode(rows.shape[0])
+    stack = [(root, rows, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
         sub_y = y[idx]
-        node_leaf = _leaf(sub_y, num_classes, criterion)
-        if depth >= max_depth or idx.shape[0] < 2:
-            return node_leaf
-        if criterion == "gini":
-            if np.unique(sub_y).shape[0] == 1:
-                return node_leaf
-        elif float(sub_y.max() - sub_y.min()) < 1e-15:
-            return node_leaf
-        subset = feature_picker(X.shape[1]) if feature_picker else None
-        found = best_split(X[idx], sub_y, subset, max_bins, criterion,
-                           num_classes, allow_zero_gain=True)
-        if found is None:
-            return node_leaf
-        f, thr, gain = found
-        go_left = X[idx, f] <= thr
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        if min(left_idx.shape[0], right_idx.shape[0]) < min_instances_per_node:
-            return node_leaf
-        return TreeNode(
-            idx.shape[0],
-            feature=f,
-            threshold=thr,
-            gain=gain,
-            left=build(left_idx, depth + 1),
-            right=build(right_idx, depth + 1),
-        )
-
-    root = build(np.arange(X.shape[0]), 0)
-    # build refers to itself through its closure cell; break that cycle so
-    # X and y are freed when the caller drops them, not at the next GC pass.
-    build = None
+        found = None
+        if depth < max_depth and idx.shape[0] >= 2 and not _is_pure(sub_y, criterion):
+            subset = feature_picker(X.shape[1]) if feature_picker else None
+            found = best_split(bins, sub_y, subset, max_bins, criterion,
+                               num_classes, allow_zero_gain=True, rows=idx)
+        if found is not None:
+            f, thr, gain = found
+            go_left = X[idx, f] <= thr
+            left_idx, right_idx = idx[go_left], idx[~go_left]
+            if min(left_idx.shape[0], right_idx.shape[0]) >= min_instances_per_node:
+                node.feature, node.threshold, node.gain = f, thr, gain
+                node.left = TreeNode(left_idx.shape[0])
+                node.right = TreeNode(right_idx.shape[0])
+                # Left on top: the left subtree grows first, so
+                # feature_picker is called in depth-first preorder.
+                stack.append((node.right, right_idx, depth + 1))
+                stack.append((node.left, left_idx, depth + 1))
+                continue
+        node.prediction = _leaf_prediction(sub_y, num_classes, criterion)
     return root
 
 
-def route(root, row):
-    """Walk a row to its leaf."""
-    node = root
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
+def route_rows(root, X):
+    """Send every row of the dense matrix X down the tree, one node at a time.
+
+    Returns (leaves, slot): the tree's leaves in depth-first order, and for
+    each row the index in leaves of the leaf it reaches. A row goes left
+    iff its value <= the node's threshold.
+    """
+    leaves = []
+    slot = np.empty(X.shape[0], dtype=np.intp)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            slot[rows] = len(leaves)
+            leaves.append(node)
+            continue
+        if rows.shape[0]:
+            go_left = X[rows, node.feature] <= node.threshold
+            left, right = rows[go_left], rows[~go_left]
+        else:
+            left = right = rows
+        stack.append((node.right, right))
+        stack.append((node.left, left))
+    return leaves, slot
 
 
 def predict_tree(root, x):
     """(label, class distribution) for one row of a classification tree."""
     row = x.to_dense() if hasattr(x, "to_dense") else np.asarray(x, dtype=np.float64)
-    leaf = route(root, row)
-    dist = leaf.prediction
+    leaves, slot = route_rows(root, row.reshape(1, -1))
+    dist = leaves[slot[0]].prediction
     return int(np.argmax(dist)), dist
 
 
@@ -272,8 +379,8 @@ def tree_predict_matrix(root, X):
     X = as_feature_matrix(X)
     if hasattr(X, "toarray"):
         X = X.toarray()
-    rows = [route(root, X[i]).prediction for i in range(X.shape[0])]
-    return np.asarray(rows)
+    leaves, slot = route_rows(root, X)
+    return np.asarray([leaf.prediction for leaf in leaves])[slot]
 
 
 def accumulate_importances(root, out):

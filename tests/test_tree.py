@@ -3,9 +3,19 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bookml import DataError, DecisionTreeClassifier, best_split, gini, predict_tree
-from bookml.tree import MIN_GAIN, TreeNode, candidate_thresholds, grow_tree, route
+from bookml import tree
+from bookml.ensemble import GradientBoostedTreesClassifier
+from bookml.tree import (
+    MIN_GAIN,
+    FeatureBins,
+    TreeNode,
+    candidate_thresholds,
+    grow_tree,
+    route_rows,
+)
 
 
 def exhaustive_best_split(X, y, max_bins=32):
@@ -35,6 +45,99 @@ def exhaustive_best_split(X, y, max_bins=32):
             )
             if gain > MIN_GAIN and (best is None or gain > best[2] + 1e-12):
                 best = (f, thr, gain)
+    return best
+
+
+def walk(root, row):
+    """Per-row reference router: follow one row from the root to its leaf."""
+    node = root
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node
+
+
+def route(root, row):
+    """Leaf that one row reaches through the node-at-a-time router."""
+    leaves, slot = route_rows(root, np.asarray(row, dtype=float).reshape(1, -1))
+    return leaves[slot[0]]
+
+
+# Reference: the per-node split search that re-sorts each feature at every
+# node, kept verbatim as the oracle for the histogram search.
+
+
+def _oracle_gains_gini(values, y, num_classes, thresholds):
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sy = y[order]
+    n = sv.shape[0]
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), sy] = 1.0
+    cum = np.cumsum(onehot, axis=0)
+    total = cum[-1]
+    parent = 1.0 - ((total / n) ** 2).sum()
+    pos = np.searchsorted(sv, thresholds, side="right")
+    valid = (pos >= 1) & (pos <= n - 1)
+    pos = np.clip(pos, 1, n - 1)
+    left = cum[pos - 1]
+    right = total - left
+    nl = pos.astype(np.float64)
+    nr = n - nl
+    gini_l = 1.0 - (left**2).sum(axis=1) / nl**2
+    gini_r = 1.0 - (right**2).sum(axis=1) / nr**2
+    gains = parent - (nl / n) * gini_l - (nr / n) * gini_r
+    return np.where(valid, gains, -np.inf)
+
+
+def _oracle_gains_variance(values, y, thresholds):
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sy = y[order]
+    n = sv.shape[0]
+    cum = np.cumsum(sy)
+    cum2 = np.cumsum(sy**2)
+    parent = cum2[-1] / n - (cum[-1] / n) ** 2
+    pos = np.searchsorted(sv, thresholds, side="right")
+    valid = (pos >= 1) & (pos <= n - 1)
+    pos = np.clip(pos, 1, n - 1)
+    nl = pos.astype(np.float64)
+    nr = n - nl
+    sl, sl2 = cum[pos - 1], cum2[pos - 1]
+    sr, sr2 = cum[-1] - sl, cum2[-1] - sl2
+    var_l = sl2 / nl - (sl / nl) ** 2
+    var_r = sr2 / nr - (sr / nr) ** 2
+    gains = parent - (nl / n) * var_l - (nr / n) * var_r
+    return np.where(valid, gains, -np.inf)
+
+
+def per_node_best_split(X, y, feature_subset=None, max_bins=32, criterion="gini",
+                        num_classes=None, allow_zero_gain=False):
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[0] < 2:
+        return None
+    if feature_subset is None:
+        feature_subset = np.arange(X.shape[1])
+    features = np.sort(np.asarray(feature_subset, dtype=np.int64))
+    if criterion == "gini":
+        y = np.asarray(y, dtype=np.int64)
+        k = int(num_classes) if num_classes else int(y.max()) + 1
+    else:
+        y = np.asarray(y, dtype=np.float64)
+    best = None
+    for f in features:
+        values = X[:, f]
+        thresholds = candidate_thresholds(values, max_bins)
+        if thresholds.shape[0] == 0:
+            continue
+        if criterion == "gini":
+            gains = _oracle_gains_gini(values, y, k, thresholds)
+        else:
+            gains = _oracle_gains_variance(values, y, thresholds)
+        gains = np.where(np.abs(gains) < MIN_GAIN, 0.0, gains)
+        i = int(np.argmax(gains))
+        floor = -MIN_GAIN if allow_zero_gain else MIN_GAIN
+        if gains[i] > floor and (best is None or gains[i] > best[2]):
+            best = (int(f), float(thresholds[i]), max(float(gains[i]), 0.0))
     return best
 
 
@@ -88,6 +191,12 @@ class TestBestSplit:
         f, thr, gain = best_split(X, y)
         assert f == 0
 
+    def test_equal_gains_tie_to_lower_threshold(self):
+        # Splitting off either end row gives the same gain.
+        X = np.array([[0.0], [1.0], [2.0]])
+        assert best_split(X, np.array([1, 0, 1]))[1] == 0.5
+        assert best_split(X, np.array([0.0, 1.0, 0.0]), criterion="variance")[1] == 0.5
+
     def test_matches_exhaustive_oracle(self, rng):
         for trial in range(50):
             n = int(rng.integers(4, 64))
@@ -127,8 +236,9 @@ class TestGrowAndPredict:
         left = TreeNode(1, prediction=np.array([1.0, 0.0]))
         right = TreeNode(1, prediction=np.array([0.0, 1.0]))
         root = TreeNode(2, feature=0, threshold=0.5, gain=0.5, left=left, right=right)
-        assert route(root, np.array([0.5])) is left
-        assert route(root, np.array([0.5000001])) is right
+        leaves, slot = route_rows(root, np.array([[0.5], [0.5000001]]))
+        assert leaves[slot[0]] is left
+        assert leaves[slot[1]] is right
 
     def test_single_leaf_distribution(self):
         root = TreeNode(10, prediction=np.array([0.7, 0.3]))
@@ -153,8 +263,10 @@ class TestGrowAndPredict:
             )
 
         enumerated = list(leaves_with_predicates(root, []))
-        for row in rng.normal(0, 1, (100, 3)):
-            routed = route(root, row)
+        probes = rng.normal(0, 1, (100, 3))
+        leaves, slot = route_rows(root, probes)
+        for row, i in zip(probes, slot):
+            routed = leaves[i]
             matching = [
                 leaf
                 for leaf, preds in enumerated
@@ -224,3 +336,143 @@ class TestGrowAndPredict:
         clone = DecisionTreeClassifier.from_json(model.to_json())
         probe = rng.normal(0, 1, (40, 3))
         np.testing.assert_array_equal(model.predict(probe), clone.predict(probe))
+
+
+def grid_matrix(draw, n, d, max_bins):
+    """n x d values on a 1/8 grid, at most max_bins distinct per column.
+
+    Midpoints of grid values are exact, so the oracle's midpoint rule and
+    the binned search name the same thresholds.
+    """
+    columns = []
+    for _ in range(d):
+        pool = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=max_bins, unique=True))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        columns.append(np.asarray(picks, dtype=np.float64) / 8.0)
+    return np.column_stack(columns)
+
+
+class TestHistogramSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_node_search(self, data):
+        draw = data.draw
+        n, d = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+        max_bins = draw(st.sampled_from([2, 4, 32]))
+        X = grid_matrix(draw, n, d, max_bins)
+        criterion = draw(st.sampled_from(["gini", "variance"]))
+        if criterion == "gini":
+            k = draw(st.integers(2, 4))
+            y = np.asarray(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        else:
+            k = None
+            y = np.asarray(draw(st.lists(
+                st.floats(-1, 1, allow_nan=False, allow_infinity=False), min_size=n, max_size=n)))
+        # A node: some rows of the fit, repeats allowed (a bootstrap), in any order.
+        rows = np.asarray(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+        subset = draw(st.none() | st.lists(st.integers(0, d - 1), min_size=1, unique=True))
+        allow_zero = draw(st.booleans())
+        bins = FeatureBins(X, max_bins)
+        got = best_split(bins, y[rows], subset, max_bins, criterion, k,
+                         allow_zero_gain=allow_zero, rows=rows)
+        want = per_node_best_split(X[rows], y[rows], subset, max_bins, criterion, k,
+                                   allow_zero_gain=allow_zero)
+        if criterion == "gini":
+            assert got == want
+        elif want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert got[2] == pytest.approx(want[2], rel=1e-9, abs=1e-12)
+
+    def test_blocked_histograms_give_the_same_split(self, rng, monkeypatch):
+        X = rng.integers(0, 9, (60, 5)).astype(float)
+        for criterion, y in (("gini", rng.integers(0, 3, 60)),
+                             ("variance", rng.normal(0, 1, 60))):
+            whole = best_split(X, y, criterion=criterion)
+            # One feature per bincount block.
+            monkeypatch.setattr(tree, "HISTOGRAM_BLOCK", 100)
+            assert best_split(X, y, criterion=criterion) == whole
+            monkeypatch.undo()
+
+    def test_codes_are_compact(self, rng):
+        X = rng.normal(0, 1, (500, 3))
+        X[:, 1] = rng.integers(0, 5, 500)
+        bins = FeatureBins(X, 32)
+        assert bins.codes.dtype == np.uint8
+        assert bins.codes.shape == (3, 500)
+        assert bins.values[1].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        np.testing.assert_array_equal(bins.cuts[0], candidate_thresholds(X[:, 0], 32))
+        assert FeatureBins(X, 300).codes.dtype == np.uint16
+
+    def test_cut_codes_follow_the_threshold_rule(self, rng):
+        X = rng.normal(0, 1, (400, 1))
+        bins = FeatureBins(X, 8)
+        for c, cut in enumerate(bins.cuts[0]):
+            np.testing.assert_array_equal(bins.codes[0] <= c, X[:, 0] <= cut)
+
+    def test_adjacent_float_values_split_apart(self):
+        # The midpoint of two adjacent floats can round up to the larger
+        # one; the threshold must still send the larger value right.
+        lo = 1.0 + 2.0**-52
+        hi = np.nextafter(lo, 2.0)
+        assert (lo + hi) / 2.0 == hi
+        X = np.array([[lo], [hi], [lo], [hi]])
+        y = np.array([0, 1, 0, 1])
+        root = grow_tree(X, y, max_depth=1)
+        assert not root.is_leaf and lo <= root.threshold < hi
+        assert DecisionTreeClassifier(max_depth=1).fit(X, y).predict(X).tolist() == [0, 1, 0, 1]
+
+
+class TestRouteRows:
+    def test_matches_per_row_walk_including_threshold_ties(self, rng):
+        X = rng.integers(0, 6, (200, 3)).astype(float)
+        y = rng.integers(0, 3, 200)
+        root = grow_tree(X, y, max_depth=5)
+        thresholds = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                thresholds.append((node.feature, node.threshold))
+                stack += [node.left, node.right]
+        probes = rng.uniform(-1, 6, (300, 3))
+        # Rows sitting exactly on a threshold must go left.
+        for i, (f, thr) in enumerate(thresholds):
+            probes[i, f] = thr
+        leaves, slot = route_rows(root, probes)
+        assert len(leaves) == len(set(map(id, leaves)))
+        for row, i in zip(probes, slot):
+            assert leaves[i] is walk(root, row)
+
+    def test_every_leaf_listed_even_when_unreached(self):
+        left = TreeNode(1, prediction=np.array([1.0, 0.0]))
+        right = TreeNode(1, prediction=np.array([0.0, 1.0]))
+        root = TreeNode(2, feature=0, threshold=0.5, gain=0.5, left=left, right=right)
+        leaves, slot = route_rows(root, np.array([[0.0], [0.2]]))
+        assert leaves == [left, right]
+        assert slot.tolist() == [0, 0]
+        leaves, slot = route_rows(root, np.empty((0, 1)))
+        assert leaves == [left, right] and slot.shape == (0,)
+
+
+def test_gbt_leaf_values_match_per_row_reference(rng):
+    X = rng.normal(0, 1, (150, 3))
+    y = (X[:, 0] + 0.5 * rng.normal(0, 1, 150) > 0).astype(int)
+    model = GradientBoostedTreesClassifier(num_iters=6, max_depth=3).fit(X, y)
+    yf = y.astype(float)
+    scores = np.full(X.shape[0], model.initial_score_)
+    for root in model.trees_:
+        prob = 1.0 / (1.0 + np.exp(-scores))
+        resid = yf - prob
+        reached = [walk(root, X[i]) for i in range(X.shape[0])]
+        num, den = {}, {}
+        for leaf, r, q in zip(reached, resid, prob):
+            num[id(leaf)] = num.get(id(leaf), 0.0) + r
+            den[id(leaf)] = den.get(id(leaf), 0.0) + q * (1.0 - q)
+        for leaf in route_rows(root, X[:0])[0]:
+            key = id(leaf)
+            want = num[key] / den[key] if key in den and den[key] > 1e-12 else 0.0
+            assert leaf.prediction == want
+        scores = scores + model.learning_rate * np.array([leaf.prediction for leaf in reached])
+    np.testing.assert_array_equal(model.decision_function(X), scores)
