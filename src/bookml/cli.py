@@ -41,7 +41,7 @@ from .pipeline import (
 )
 from .recommend import ALSExplicit, ALSImplicit, build_interactions, evaluate_holdout
 from .scaling import binarize_label
-from .selection import cross_validate, train_validation_split
+from .selection import SELECTION_METRICS, cross_validate, train_validation_split
 from .synth import generate_corpus
 from .table import (
     IngestOptions,
@@ -114,6 +114,19 @@ class RunConfig:
             raise ConfigError("test_fraction must lie strictly between 0 and 1")
         if self.vocab_size < 1 or self.min_df < 1:
             raise ConfigError("vocab_size and min_df must be at least 1")
+        # The library makes these checks too, but only once the prepared
+        # table is loaded; a config error must come before any data.
+        if self.cv_k < 2:
+            raise ConfigError("k must be at least 2")
+        if not 0.0 < self.tvs_ratio < 1.0:
+            raise ConfigError("train_ratio must lie strictly between 0 and 1")
+        if self.metric not in SELECTION_METRICS:
+            raise ConfigError(
+                f"unknown selection metric {self.metric!r}; choose from {SELECTION_METRICS}")
+        if self.als_rank < 1 or self.als_reg < 0 or self.als_sweeps < 0:
+            raise ConfigError("rank must be >= 1, reg >= 0, sweeps >= 0")
+        if self.als_alpha <= 0:
+            raise ConfigError("alpha must be positive for implicit feedback")
         return self
 
     def effective(self):
@@ -789,6 +802,10 @@ def main(argv=None):
             key: getattr(args, key) for key in CONFIG_KEYS if hasattr(args, key)
         }
         cfg = load_config(args.config, overrides)
+        # Only prepare samples; --sample-rows exists on prepare alone, so a
+        # value here came from the config file and would be ignored.
+        if args.command != "prepare" and cfg.sample_rows is not None:
+            raise ConfigError(f"{args.config}: sample_rows applies only to prepare")
         if args.command == "prepare":
             cmd_prepare(cfg)
         elif args.command == "train":

@@ -30,11 +30,16 @@ class MetricsReport:
         }
 
     def metric(self, name):
-        if name == "f1":
-            return self.weighted_f1
-        if name in ("accuracy", "weighted_precision", "weighted_recall", "weighted_f1"):
-            return getattr(self, name)
-        raise DataError(f"unknown metric {name!r}")
+        return getattr(self, metric_field(name))
+
+
+def metric_field(name):
+    """Report field a metric name selects; "f1" means weighted F1."""
+    if name == "f1":
+        return "weighted_f1"
+    if name in ("accuracy", "weighted_precision", "weighted_recall", "weighted_f1"):
+        return name
+    raise DataError(f"unknown metric {name!r}")
 
 
 def confusion_matrix(preds, truth, num_classes):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BookmlError, ConfigError, DataError
-from .metrics import evaluate_multiclass
+from .metrics import evaluate_multiclass, metric_field
 from .validation import as_label_array, take_rows
 
 SELECTION_METRICS = ("f1", "accuracy", "weighted_precision", "weighted_recall")
@@ -112,8 +112,7 @@ def _score_candidate(estimator, params, splits, X, y, num_classes, metric):
     result.mean_metrics = {
         k: float(np.mean([m[k] for m in result.fold_metrics])) for k in keys
     }
-    lookup = "weighted_f1" if metric == "f1" else metric
-    result.selection_score = result.mean_metrics[lookup]
+    result.selection_score = result.mean_metrics[metric_field(metric)]
     result.wall_time = time.perf_counter() - start
     return result
 

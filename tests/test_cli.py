@@ -399,6 +399,68 @@ class TestConfigFile:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--model", "logistic", "--tuning", "cv", "--k", "1"],
+        ["--model", "logistic", "--ratio", "1.0"],
+        ["--model", "logistic", "--ratio", "0"],
+        ["--model", "logistic", "--metric", "auc"],
+        ["--model", "als", "--rank", "0"],
+        ["--model", "als", "--reg", "-0.5"],
+        ["--model", "als", "--sweeps", "-1"],
+        ["--model", "als_implicit", "--alpha", "0"],
+    ])
+    def test_range_errors_rejected_before_loading(self, tmp_path, flags):
+        # No prepared table exists here: a config error must come first.
+        code = main(["train", "--out", str(tmp_path / "fresh"), *flags])
+        assert code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--model", "logistic"],
+        ["compare"],
+        ["recommend", "--user", "u1"],
+        ["verify-model"],
+    ])
+    def test_sample_rows_in_config_rejected_outside_prepare(self, prepared, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_rows": 10}), encoding="utf-8")
+        code = main([*command, "--out", str(prepared), "--config", str(cfg)])
+        assert code == 2
+
+    def test_sample_rows_in_config_honoured_by_prepare(self, corpus, tmp_path):
+        root, stats = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_rows": 50}), encoding="utf-8")
+        out = tmp_path / "sampled"
+        code = main(["prepare", "--ratings-csv", stats.ratings_path,
+                     "--books-csv", stats.books_path, "--out", str(out),
+                     "--config", str(cfg)])
+        assert code == 0
+        assert read_json(out / "prepare_summary.json")["rows_after_sampling"] == 50
+
+
+class TestTreeDeterminism:
+    def test_tree_flows_equal_across_directories(self, corpus, tmp_path):
+        # Same corpus and seed in two directories: every JSON output of the
+        # forest and boosting flows matches once wall times and the output
+        # directory are taken out.
+        root, stats = corpus
+        runs = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            assert main(["prepare", "--ratings-csv", stats.ratings_path,
+                         "--books-csv", stats.books_path, "--out", str(out),
+                         "--seed", "7"]) == 0
+            docs = {}
+            for model, tuning in (("rforest", "cv"), ("gbt", "tvs")):
+                assert main(["train", "--out", str(out), "--model", model,
+                             "--tuning", tuning, "--seed", "7"]) == 0
+                for fname in ("train_report.json", "model.json"):
+                    text = (out / fname).read_text(encoding="utf-8").replace(str(out), "<out>")
+                    docs[f"{model}/{fname}"] = strip_wall_times(json.loads(text))
+            runs.append(docs)
+        assert json.dumps(runs[0], sort_keys=True) == json.dumps(runs[1], sort_keys=True)
+
+
 class TestSynthCommand:
     def test_malformed_accounting_exact(self, tmp_path):
         from bookml import IngestOptions, parse_csv

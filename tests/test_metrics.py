@@ -132,3 +132,15 @@ class TestRegression:
     def test_too_short(self):
         with pytest.raises(DataError):
             evaluate_regression([1.0], [1.0])
+
+
+def test_metric_names_map_to_report_fields():
+    from bookml.metrics import metric_field
+    from bookml.selection import SELECTION_METRICS
+
+    report = evaluate_multiclass(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), 3)
+    assert metric_field("f1") == "weighted_f1"
+    for name in SELECTION_METRICS:
+        assert report.metric(name) == report.as_dict()[metric_field(name)]
+    with pytest.raises(DataError):
+        metric_field("auc")
