@@ -360,6 +360,8 @@ def route_rows(root, X):
             go_left = X[rows, node.feature] <= node.threshold
             left, right = rows[go_left], rows[~go_left]
         else:
+            # An unreached subtree still lists its leaves; skip the
+            # comparisons, which are most of a small batch's cost.
             left = right = rows
         stack.append((node.right, right))
         stack.append((node.left, left))
