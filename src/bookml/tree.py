@@ -325,7 +325,7 @@ def grow_tree(X, y, max_depth=5, min_instances_per_node=1, max_bins=32,
                                num_classes, allow_zero_gain=True, rows=idx)
         if found is not None:
             f, thr, gain = found
-            go_left = X[idx, f] <= thr
+            go_left = X[:, f][idx] <= thr
             left_idx, right_idx = idx[go_left], idx[~go_left]
             if min(left_idx.shape[0], right_idx.shape[0]) >= min_instances_per_node:
                 node.feature, node.threshold, node.gain = f, thr, gain
@@ -357,7 +357,7 @@ def route_rows(root, X):
             leaves.append(node)
             continue
         if rows.shape[0]:
-            go_left = X[rows, node.feature] <= node.threshold
+            go_left = X[:, node.feature][rows] <= node.threshold
             left, right = rows[go_left], rows[~go_left]
         else:
             # An unreached subtree still lists its leaves; skip the
