@@ -248,12 +248,12 @@ def best_split(X, y, feature_subset=None, max_bins=32, criterion="gini",
         X = FeatureBins(X, max_bins)
     if rows is None:
         rows = np.arange(X.codes.shape[1])
-    n = rows.shape[0]
-    if n < 2 or X.width < 2:
-        return None
     if feature_subset is None:
         feature_subset = np.arange(X.codes.shape[0])
     features = np.sort(np.asarray(feature_subset, dtype=np.int64))
+    n = rows.shape[0]
+    if n < 2 or X.width < 2 or features.shape[0] == 0:
+        return None
     if criterion == "gini":
         y = as_label_array(y, n)
         k = int(num_classes) if num_classes else int(y.max()) + 1
