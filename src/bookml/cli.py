@@ -191,6 +191,9 @@ def cmd_prepare(cfg):
     """Parse, join, coerce, and persist the modeling table."""
     if not cfg.ratings_csv or not cfg.books_csv:
         raise ConfigError("prepare requires ratings_csv and books_csv")
+    for path in (cfg.ratings_csv, cfg.books_csv):
+        if not Path(path).is_file():
+            raise DataError(f"{path}: input CSV not found")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     opts = IngestOptions(max_malformed_fraction=cfg.max_malformed_fraction)

@@ -17,16 +17,12 @@ from .tree import (
     FeatureBins,
     TreeNode,
     accumulate_importances,
+    densify,
     grow_tree,
     route_rows,
     tree_predict_matrix,
 )
-from .validation import as_feature_matrix, as_label_array, check_labels_in_range
-
-
-def _densify(X):
-    X = as_feature_matrix(X)
-    return X.toarray() if hasattr(X, "toarray") else X
+from .validation import as_label_array, check_labels_in_range
 
 
 class RandomForestClassifier(BaseEstimator):
@@ -50,7 +46,7 @@ class RandomForestClassifier(BaseEstimator):
         self.trees_ = None
 
     def fit(self, X, y):
-        X = _densify(X)
+        X = densify(X)
         y = as_label_array(y, X.shape[0])
         if X.shape[0] == 0:
             raise DataError("cannot fit on zero rows")
@@ -98,7 +94,7 @@ class RandomForestClassifier(BaseEstimator):
 
     def predict(self, X):
         check_is_fitted(self, "trees_")
-        X = _densify(X)
+        X = densify(X)
         votes = np.zeros((X.shape[0], self.num_classes_), dtype=np.int64)
         for root in self.trees_:
             labels = np.argmax(tree_predict_matrix(root, X), axis=1)
@@ -165,7 +161,7 @@ class GradientBoostedTreesClassifier(BaseEstimator):
         self.trees_ = None
 
     def fit(self, X, y):
-        X = _densify(X)
+        X = densify(X)
         y = as_label_array(y, X.shape[0])
         if X.shape[0] == 0:
             raise DataError("cannot fit on zero rows")
@@ -218,7 +214,7 @@ class GradientBoostedTreesClassifier(BaseEstimator):
 
     def decision_function(self, X):
         check_is_fitted(self, "trees_")
-        X = _densify(X)
+        X = densify(X)
         scores = np.full(X.shape[0], self.initial_score_)
         for root in self.trees_:
             scores = scores + self.learning_rate * tree_predict_matrix(root, X)

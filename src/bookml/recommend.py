@@ -6,11 +6,17 @@ recorded objective never increases across half-sweeps. The implicit
 variant treats ratings as confidence-weighted binary preferences
 (confidence = 1 + alpha * rating over every user/item pair) and uses the
 Gramian decomposition so each solve touches only observed entries.
+
+An InteractionSet groups its triples once by user and once by item into
+CSR-style arrays. A half-sweep builds the normal equations of all groups
+of one length at once from that grouping, and solves each such stack with
+one np.linalg.solve, as Spark's ALS solves a half-sweep as a block.
 """
 
 import logging
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +28,11 @@ logger = logging.getLogger(__name__)
 FACTOR_FORMAT_VERSION = 1
 
 Score = namedtuple("Score", ["value", "cold_start"])
+
+# Triples grouped by one side: group g holds slots indptr[g]:indptr[g + 1],
+# in triple order. triple is each slot's position in the InteractionSet,
+# other its index on the other side and rating its rating.
+Grouping = namedtuple("Grouping", ["indptr", "triple", "other", "rating"])
 
 
 @dataclass
@@ -56,18 +67,31 @@ class InteractionSet:
     def num_triples(self):
         return self.users.shape[0]
 
-    def by_user(self):
-        """Per-user (item index array, rating array) lists."""
+    @cached_property
+    def user_groups(self):
         return _group(self.users, self.items, self.ratings, self.num_users)
 
-    def by_item(self):
+    @cached_property
+    def item_groups(self):
         return _group(self.items, self.users, self.ratings, self.num_items)
 
     def seen_items(self, user_idx):
-        return set(self.items[self.users == user_idx].tolist())
+        """Item indices the user has rated, in triple order."""
+        g = self.user_groups
+        return g.other[g.indptr[user_idx] : g.indptr[user_idx + 1]]
 
     def item_popularity(self):
         return np.bincount(self.items, minlength=self.num_items)
+
+    @cached_property
+    def popularity_ranking(self):
+        """Item indices by descending rating count, ties to the lower index, and their counts."""
+        pop = self.item_popularity()
+        order = np.argsort(-pop, kind="stable")
+        counts = pop[order].astype(np.float64)
+        order.setflags(write=False)
+        counts.setflags(write=False)
+        return order, counts
 
     def subset(self, keep):
         """Triple subset sharing this set's id maps (for holdout splits)."""
@@ -83,14 +107,43 @@ class InteractionSet:
         )
 
 
-def _group(keys, values, ratings, n_groups):
+def _group(keys, others, ratings, n_groups):
     order = np.argsort(keys, kind="stable")
-    sk, sv, sr = keys[order], values[order], ratings[order]
-    bounds = np.searchsorted(sk, np.arange(n_groups + 1))
-    return [
-        (sv[bounds[g] : bounds[g + 1]], sr[bounds[g] : bounds[g + 1]])
-        for g in range(n_groups)
-    ]
+    indptr = np.searchsorted(keys[order], np.arange(n_groups + 1))
+    grouping = Grouping(indptr, order, others[order], ratings[order])
+    # Shared by every fit and top-n call on the set; seen_items returns views.
+    for arr in grouping:
+        arr.setflags(write=False)
+    return grouping
+
+
+# Largest number of gathered factor and normal-matrix values one block of a
+# half-sweep holds, which bounds its temporaries (a group longer than this
+# is a block of its own).
+ALS_BLOCK = 1 << 18
+
+# Equal-length groups for one batched step of a half-sweep: others and
+# ratings are (len(groups), length) arrays of the groups' slots.
+_Block = namedtuple("_Block", ["groups", "others", "ratings"])
+
+
+def _blocks(groups, rank):
+    """Split a grouping into _Blocks of groups of one length each.
+
+    Equal lengths need no padding, so each slice of a block's stacked
+    products is the same product a per-group solve would form.
+    """
+    lengths = np.diff(groups.indptr)
+    order = np.argsort(lengths, kind="stable")
+    blocks = []
+    for run in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        length = int(lengths[run[0]])
+        step = max(1, ALS_BLOCK // ((length + rank) * rank))
+        for lo in range(0, run.shape[0], step):
+            g = run[lo : lo + step]
+            slots = groups.indptr[g][:, None] + np.arange(length)
+            blocks.append(_Block(g, groups.other[slots], groups.rating[slots]))
+    return blocks
 
 
 def build_interactions(table, user_col, item_col, rating_col):
@@ -141,12 +194,27 @@ def build_interactions(table, user_col, item_col, rating_col):
 
 
 def _solve_ridge(A, b, reg):
+    """Solve the stacked systems A[i] x[i] = b[i]; b is (n, rank, 1)."""
     try:
-        return np.linalg.solve(A, b)
+        return np.linalg.solve(A, b)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"singular normal equations (reg={reg}); increase the regularization"
         ) from exc
+
+
+def _top_n(scores, candidates, n):
+    """The n candidates of highest score, ties to the lower index, best first.
+
+    A partition finds the n-th highest score; only the candidates scoring at
+    least that much are sorted.
+    """
+    values = scores[candidates]
+    if n < candidates.shape[0]:
+        kth = np.partition(values, candidates.shape[0] - n)[candidates.shape[0] - n]
+        keep = values >= kth
+        candidates, values = candidates[keep], values[keep]
+    return candidates[np.lexsort((candidates, -values))[:n]]
 
 
 class _ALSBase(BaseEstimator):
@@ -169,6 +237,24 @@ class _ALSBase(BaseEstimator):
         item_factors = rng.uniform(-0.5, 0.5, (data.num_items, self.rank)) / np.sqrt(self.rank)
         user_factors = np.zeros((data.num_users, self.rank))
         return user_factors, item_factors
+
+    def _alternate(self, data, U, V, solve_side, objective):
+        """Run the half-sweeps, users then items; returns the objective trace.
+
+        solve_side(target, other, blocks) overwrites target's rows with the
+        ridge solutions against the other side's factors.
+        """
+        user_blocks = _blocks(data.user_groups, self.rank)
+        item_blocks = _blocks(data.item_groups, self.rank)
+        trace = [objective()]
+        for _ in range(self.sweeps):
+            solve_side(U, V, user_blocks)
+            trace.append(objective())
+            solve_side(V, U, item_blocks)
+            trace.append(objective())
+            if not np.isfinite(trace[-1]):
+                raise NumericError("non-finite training objective")
+        return trace
 
     def _finalize(self, data, user_factors, item_factors, trace, global_mean):
         if not (np.all(np.isfinite(user_factors)) and np.all(np.isfinite(item_factors))):
@@ -215,18 +301,17 @@ class _ALSBase(BaseEstimator):
         if u is None:
             if interactions is None:
                 raise DataError("unknown user and no interactions for the popularity fallback")
-            pop = interactions.item_popularity().astype(np.float64)
-            order = np.argsort(-pop, kind="stable")[:n]
-            return [(self.item_ids_[i], float(pop[i])) for i in order], True
+            order, counts = interactions.popularity_ranking
+            picked = zip(order[:n].tolist(), counts[:n].tolist())
+            return [(self.item_ids_[i], c) for i, c in picked], True
         scores = self.user_factors_[u] @ self.item_factors_.T
-        order = np.argsort(-scores, kind="stable")
-        banned = set()
+        candidates = np.arange(scores.shape[0])
         if exclude_seen:
             if interactions is None:
                 raise DataError("exclude_seen requires the interaction set")
-            banned = interactions.seen_items(u)
-        picked = [(self.item_ids_[i], float(scores[i])) for i in order if i not in banned]
-        return picked[:n], False
+            candidates = np.delete(candidates, interactions.seen_items(u))
+        top = _top_n(scores, candidates, n)
+        return [(self.item_ids_[i], float(scores[i])) for i in top.tolist()], False
 
     def to_json(self):
         check_is_fitted(self, "user_factors_")
@@ -272,8 +357,6 @@ class ALSExplicit(_ALSBase):
 
     def fit(self, data):
         U, V = self._init_factors(data)
-        by_user = data.by_user()
-        by_item = data.by_item()
         eye = np.eye(self.rank)
 
         def objective():
@@ -281,23 +364,17 @@ class ALSExplicit(_ALSBase):
             sq = float(((data.ratings - preds) ** 2).sum())
             return sq + self.reg * (float((U**2).sum()) + float((V**2).sum()))
 
-        def solve_side(target, other, groups):
-            for idx, (cols, vals) in enumerate(groups):
-                if cols.shape[0] == 0:
-                    target[idx] = 0.0
+        def solve_side(target, other, blocks):
+            for block in blocks:
+                if block.others.shape[1] == 0:
+                    target[block.groups] = 0.0
                     continue
-                M = other[cols]
-                A = M.T @ M + self.reg * eye
-                target[idx] = _solve_ridge(A, M.T @ vals, self.reg)
+                M = other[block.others]
+                Mt = M.transpose(0, 2, 1)
+                A = Mt @ M + self.reg * eye
+                target[block.groups] = _solve_ridge(A, Mt @ block.ratings[..., None], self.reg)
 
-        trace = [objective()]
-        for _ in range(self.sweeps):
-            solve_side(U, V, by_user)
-            trace.append(objective())
-            solve_side(V, U, by_item)
-            trace.append(objective())
-            if not np.isfinite(trace[-1]):
-                raise NumericError("non-finite training objective")
+        trace = self._alternate(data, U, V, solve_side, objective)
         return self._finalize(data, U, V, trace, data.ratings.mean())
 
 
@@ -327,8 +404,6 @@ class ALSImplicit(_ALSBase):
         U, V = self._init_factors(data)
         prefs = (data.ratings > 0).astype(np.float64)
         conf_minus_1 = self.alpha * data.ratings
-        by_user = data.by_user()
-        by_item = data.by_item()
         eye = np.eye(self.rank)
 
         def objective():
@@ -341,27 +416,19 @@ class ALSImplicit(_ALSBase):
             corr = float((conf * (prefs - preds) ** 2 - preds**2).sum())
             return base + corr + self.reg * (float((U**2).sum()) + float((V**2).sum()))
 
-        def solve_side(target, other, groups):
-            G = other.T @ other
-            for idx, (cols, vals) in enumerate(groups):
-                A = G + self.reg * eye
-                b = np.zeros(self.rank)
-                if cols.shape[0]:
-                    M = other[cols]
-                    w = self.alpha * vals
-                    p = (vals > 0).astype(np.float64)
-                    A = A + (M * w[:, None]).T @ M
-                    b = M.T @ ((1.0 + w) * p)
-                target[idx] = _solve_ridge(A, b, self.reg)
+        def solve_side(target, other, blocks):
+            base = other.T @ other + self.reg * eye
+            for block in blocks:
+                # A group with no triples solves (G + reg*I) x = 0.
+                M = other[block.others]
+                Mt = M.transpose(0, 2, 1)
+                w = self.alpha * block.ratings
+                p = (block.ratings > 0).astype(np.float64)
+                A = base + (Mt * w[:, None, :]) @ M
+                b = Mt @ ((1.0 + w) * p)[..., None]
+                target[block.groups] = _solve_ridge(A, b, self.reg)
 
-        trace = [objective()]
-        for _ in range(self.sweeps):
-            solve_side(U, V, by_user)
-            trace.append(objective())
-            solve_side(V, U, by_item)
-            trace.append(objective())
-            if not np.isfinite(trace[-1]):
-                raise NumericError("non-finite training objective")
+        trace = self._alternate(data, U, V, solve_side, objective)
         return self._finalize(data, U, V, trace, prefs.mean())
 
 
@@ -373,9 +440,9 @@ def per_user_holdout(data, seed=0):
     """
     rng = np.random.default_rng(seed)
     holdout = np.zeros(data.num_triples, dtype=bool)
-    for user, (positions, _) in enumerate(
-        _group(data.users, np.arange(data.num_triples), data.ratings, data.num_users)
-    ):
+    groups = data.user_groups
+    for user in range(data.num_users):
+        positions = groups.triple[groups.indptr[user] : groups.indptr[user + 1]]
         if positions.shape[0] >= 2:
             holdout[rng.choice(positions)] = True
     if not holdout.any():

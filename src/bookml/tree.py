@@ -376,11 +376,18 @@ def predict_tree(root, x):
     return int(np.argmax(dist)), dist
 
 
-def tree_predict_matrix(root, X):
-    """Leaf predictions for every row; distributions (n,K) or scores (n,)."""
+def densify(X):
+    """Validate estimator input with as_feature_matrix; a CSR result becomes dense."""
     X = as_feature_matrix(X)
-    if hasattr(X, "toarray"):
-        X = X.toarray()
+    return X.toarray() if hasattr(X, "toarray") else X
+
+
+def tree_predict_matrix(root, X):
+    """Leaf predictions for every row of a densify()-ed matrix X.
+
+    Returns distributions (n,K) or scores (n,). Callers validate X once,
+    so an ensemble does not re-scan it for every tree.
+    """
     leaves, slot = route_rows(root, X)
     return np.asarray([leaf.prediction for leaf in leaves])[slot]
 
@@ -412,9 +419,7 @@ class DecisionTreeClassifier(BaseEstimator):
         self.root_ = None
 
     def fit(self, X, y):
-        X = as_feature_matrix(X)
-        if hasattr(X, "toarray"):
-            X = X.toarray()
+        X = densify(X)
         y = as_label_array(y, X.shape[0])
         k = int(self.num_classes) if self.num_classes else int(y.max()) + 1
         check_labels_in_range(y, k)
@@ -432,7 +437,7 @@ class DecisionTreeClassifier(BaseEstimator):
 
     def predict_proba(self, X):
         check_is_fitted(self, "root_")
-        return tree_predict_matrix(self.root_, X)
+        return tree_predict_matrix(self.root_, densify(X))
 
     def predict(self, X):
         return np.argmax(self.predict_proba(X), axis=1)

@@ -86,6 +86,26 @@ class TestPrepare:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("missing", ["ratings", "books"])
+    def test_missing_csv_is_data_error_before_parsing(self, corpus, tmp_path,
+                                                      monkeypatch, missing):
+        root, stats = corpus
+        paths = {"ratings": stats.ratings_path, "books": stats.books_path}
+        paths[missing] = str(tmp_path / "missing.csv")
+
+        def parse_csv(*args, **kwargs):
+            raise AssertionError("a CSV was parsed before both paths were checked")
+
+        monkeypatch.setattr("bookml.cli.parse_csv", parse_csv)
+        code = main([
+            "prepare",
+            "--ratings-csv", paths["ratings"],
+            "--books-csv", paths["books"],
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     @pytest.mark.parametrize("model,label_mode", [

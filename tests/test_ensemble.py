@@ -144,6 +144,53 @@ class TestGradientBoosting:
             GradientBoostedTreesClassifier().fit(np.zeros((4, 1)), np.array([0, 1, 2, 1]))
 
 
+class TestPredictValidatesOnce:
+    """Ensembles validate and densify their input once per call, not per tree."""
+
+    def count_validations(self, monkeypatch):
+        from bookml import tree, validation
+
+        calls = []
+
+        def counting(X):
+            calls.append(1)
+            return validation.as_feature_matrix(X)
+
+        monkeypatch.setattr(tree, "as_feature_matrix", counting)
+        return calls
+
+    def test_gbt_decision_function(self, rng, monkeypatch):
+        from bookml.tree import tree_predict_matrix
+
+        X = rng.normal(0, 1, (150, 4))
+        y = (X[:, 0] + 0.5 * rng.normal(0, 1, 150) > 0).astype(int)
+        model = GradientBoostedTreesClassifier(num_iters=8, learning_rate=0.1).fit(X, y)
+        probes = rng.normal(0, 1, (90, 4))
+        expected = np.full(probes.shape[0], model.initial_score_)
+        for root in model.trees_:
+            expected = expected + model.learning_rate * tree_predict_matrix(root, probes)
+        calls = self.count_validations(monkeypatch)
+        scores = model.decision_function(probes)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(scores, expected)
+
+    def test_forest_predict(self, rng, monkeypatch):
+        from bookml.tree import tree_predict_matrix
+
+        X = rng.normal(0, 1, (120, 3))
+        y = rng.integers(0, 3, 120)
+        model = RandomForestClassifier(num_trees=6, max_depth=4, seed=2).fit(X, y)
+        probes = rng.normal(0, 1, (80, 3))
+        votes = np.zeros((probes.shape[0], 3), dtype=np.int64)
+        for root in model.trees_:
+            labels = np.argmax(tree_predict_matrix(root, probes), axis=1)
+            votes[np.arange(probes.shape[0]), labels] += 1
+        calls = self.count_validations(monkeypatch)
+        preds = model.predict(probes)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(preds, np.argmax(votes, axis=1))
+
+
 class TestBlockImportances:
     def blocks(self):
         return BlockMap([Block("a", 0, 1), Block("b", 1, 2), Block("c", 3, 1)])

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bookml import (
     ALSExplicit,
@@ -12,6 +15,7 @@ from bookml import (
     evaluate_holdout,
     per_user_holdout,
 )
+from bookml import recommend
 
 
 def interactions_table(rows):
@@ -265,6 +269,202 @@ class TestScoringAndRanking:
         assert [data.item_index[t] for t, _ in items] == expected
 
 
+# The per-group half-sweeps that the batched ones replaced, kept as an oracle.
+def per_group_lists(keys, values, ratings, n_groups):
+    order = np.argsort(keys, kind="stable")
+    sk, sv, sr = keys[order], values[order], ratings[order]
+    bounds = np.searchsorted(sk, np.arange(n_groups + 1))
+    return [
+        (sv[bounds[g] : bounds[g + 1]], sr[bounds[g] : bounds[g + 1]])
+        for g in range(n_groups)
+    ]
+
+
+def per_group_fit(data, rank, reg, sweeps, seed, alpha=None):
+    """(U, V) of explicit ALS, or of implicit ALS when alpha is given."""
+    rng = np.random.default_rng(seed)
+    V = rng.uniform(-0.5, 0.5, (data.num_items, rank)) / np.sqrt(rank)
+    U = np.zeros((data.num_users, rank))
+    by_user = per_group_lists(data.users, data.items, data.ratings, data.num_users)
+    by_item = per_group_lists(data.items, data.users, data.ratings, data.num_items)
+    eye = np.eye(rank)
+
+    def solve_explicit(target, other, groups):
+        for idx, (cols, vals) in enumerate(groups):
+            if cols.shape[0] == 0:
+                target[idx] = 0.0
+                continue
+            M = other[cols]
+            target[idx] = np.linalg.solve(M.T @ M + reg * eye, M.T @ vals)
+
+    def solve_implicit(target, other, groups):
+        G = other.T @ other
+        for idx, (cols, vals) in enumerate(groups):
+            A = G + reg * eye
+            b = np.zeros(rank)
+            if cols.shape[0]:
+                M = other[cols]
+                w = alpha * vals
+                p = (vals > 0).astype(np.float64)
+                A = A + (M * w[:, None]).T @ M
+                b = M.T @ ((1.0 + w) * p)
+            target[idx] = np.linalg.solve(A, b)
+
+    solve = solve_explicit if alpha is None else solve_implicit
+    for _ in range(sweeps):
+        solve(U, V, by_user)
+        solve(V, U, by_item)
+    return U, V
+
+
+def assert_close_factors(got, want):
+    # Relative to the largest factor entry: near-zero entries carry the
+    # rounding of their larger neighbours.
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+
+
+def fit_both_ways(data, rank, reg, sweeps, seed, alpha=None):
+    if alpha is None:
+        model = ALSExplicit(rank=rank, reg=reg, sweeps=sweeps, seed=seed).fit(data)
+    else:
+        model = ALSImplicit(rank=rank, reg=reg, sweeps=sweeps, alpha=alpha, seed=seed).fit(data)
+    U, V = per_group_fit(data, rank, reg, sweeps, seed, alpha)
+    assert_close_factors(model.user_factors_, U)
+    assert_close_factors(model.item_factors_, V)
+    return model
+
+
+class TestBatchedHalfSweeps:
+    @settings(max_examples=150, deadline=None)
+    @given(draw_data=st.data())
+    def test_matches_per_group_solves(self, draw_data):
+        draw = draw_data.draw
+        n_users, n_items = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        pairs = draw(st.lists(
+            st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)),
+            min_size=1, max_size=n_users * n_items, unique=True))
+        ratings = draw(st.lists(st.integers(0, 5), min_size=len(pairs), max_size=len(pairs)))
+        rows = [(f"u{u}", f"i{i}", float(r)) for (u, i), r in zip(pairs, ratings)]
+        data = build_interactions(interactions_table(rows), "u", "i", "r")
+        if np.bincount(data.users).max() >= 2:
+            # The holdout train split keeps every id, so some users and
+            # items may have no triples left.
+            data = per_user_holdout(data, seed=draw(st.integers(0, 3)))[0]
+        # Ranks above min(users, items) included.
+        rank = draw(st.integers(1, 5))
+        reg = draw(st.sampled_from([0.1, 0.5, 2.0]))
+        alpha = draw(st.sampled_from([None, 1.0, 40.0]))
+        # Block bounds of one group per block, a few groups, and the default.
+        block = draw(st.sampled_from([1, 40, recommend.ALS_BLOCK]))
+        with mock.patch.object(recommend, "ALS_BLOCK", block):
+            fit_both_ways(data, rank, reg, draw(st.integers(1, 4)), draw(st.integers(0, 9)), alpha)
+
+    @pytest.mark.parametrize("alpha", [None, 10.0])
+    def test_items_without_train_triples(self, rng, alpha):
+        data = random_interactions(rng, n_users=20, n_items=15, n_obs=110)
+        train, _ = per_user_holdout(data, seed=3)
+        lonely = data.items[0]
+        train = train.subset(train.items != lonely)
+        assert np.bincount(train.items, minlength=train.num_items)[lonely] == 0
+        model = fit_both_ways(train, rank=4, reg=0.1, sweeps=5, seed=1, alpha=alpha)
+        # No triples: explicit sets a zero row, implicit solves (G + reg*I) x = 0.
+        assert np.all(model.item_factors_[lonely] == 0.0)
+
+    @pytest.mark.parametrize("alpha", [None, 10.0])
+    def test_group_longer_than_a_block(self, rng, monkeypatch, alpha):
+        data = random_interactions(rng, n_users=8, n_items=30, n_obs=200)
+        whole = fit_both_ways(data, rank=3, reg=0.1, sweeps=3, seed=2, alpha=alpha)
+        # Each user has ~25 triples, so every block holds one group larger
+        # than the bound.
+        monkeypatch.setattr(recommend, "ALS_BLOCK", 10)
+        blocked = fit_both_ways(data, rank=3, reg=0.1, sweeps=3, seed=2, alpha=alpha)
+        assert_close_factors(blocked.user_factors_, whole.user_factors_)
+
+    def test_blocks_cover_every_slot_once(self, rng):
+        data = random_interactions(rng, n_users=40, n_items=30, n_obs=300)
+        groups = data.user_groups
+        for bound in (1, 100, recommend.ALS_BLOCK):
+            with mock.patch.object(recommend, "ALS_BLOCK", bound):
+                blocks = recommend._blocks(groups, 3)
+            seen = np.concatenate([b.groups for b in blocks])
+            np.testing.assert_array_equal(np.sort(seen), np.arange(data.num_users))
+            for b in blocks:
+                for row, g in enumerate(b.groups):
+                    lo, hi = groups.indptr[g], groups.indptr[g + 1]
+                    assert b.others.shape[1] == hi - lo
+                    np.testing.assert_array_equal(b.others[row], groups.other[lo:hi])
+                    np.testing.assert_array_equal(b.ratings[row], groups.rating[lo:hi])
+                length = b.others.shape[1]
+                assert b.groups.shape[0] <= max(1, bound // ((length + 3) * 3))
+
+    def test_grouping_is_csr_in_triple_order(self, rng):
+        data = random_interactions(rng)
+        for groups, keys, others in ((data.user_groups, data.users, data.items),
+                                     (data.item_groups, data.items, data.users)):
+            for g in range(groups.indptr.shape[0] - 1):
+                slots = slice(groups.indptr[g], groups.indptr[g + 1])
+                positions = np.flatnonzero(keys == g)
+                np.testing.assert_array_equal(groups.triple[slots], positions)
+                np.testing.assert_array_equal(groups.other[slots], others[positions])
+                np.testing.assert_array_equal(groups.rating[slots], data.ratings[positions])
+
+
+class TestTopNOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(draw_data=st.data())
+    def test_matches_full_sort_with_ties_and_seen(self, draw_data):
+        draw = draw_data.draw
+        n_items = draw(st.integers(1, 12))
+        # Few distinct scores, so ties are common.
+        scores = np.asarray(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                                          min_size=n_items, max_size=n_items)))
+        seen = draw(st.lists(st.integers(0, n_items - 1), unique=True))
+        exclude = draw(st.booleans())
+        n = draw(st.integers(1, n_items + 3))
+        rows = [("u", f"i{j}", 1.0) for j in seen] + [("v", f"i{j}", 1.0) for j in range(n_items)]
+        data = build_interactions(interactions_table(rows), "u", "i", "r")
+        model = ALSExplicit(rank=1, sweeps=0)
+        model.user_ids_ = list(data.user_ids)
+        model.item_ids_ = list(data.item_ids)
+        model.user_index_ = dict(data.user_index)
+        model.item_index_ = dict(data.item_index)
+        model.user_factors_ = np.ones((data.num_users, 1))
+        # Scores indexed by the interaction set's item order.
+        item_scores = np.array([scores[int(t[1:])] for t in data.item_ids])
+        model.item_factors_ = item_scores.reshape(-1, 1)
+        model.global_mean_ = 0.0
+        model.objective_trace_ = np.zeros(1)
+        model.rank_ = 1
+        user = "u" if seen else "v"
+        got, cold = model.recommend_top_n(user, n, exclude_seen=exclude, interactions=data)
+        banned = {t for who, t, _ in rows if who == user} if exclude else set()
+        oracle = sorted((j for j in range(data.num_items) if data.item_ids[j] not in banned),
+                        key=lambda j: (-item_scores[j], j))[:n]
+        assert not cold
+        assert [t for t, _ in got] == [data.item_ids[j] for j in oracle]
+        assert [s for _, s in got] == [float(item_scores[j]) for j in oracle]
+
+    def test_n_beyond_unseen_returns_every_unseen_item(self, rng):
+        model, data = ALSExplicit(rank=3, reg=0.1, sweeps=2, seed=5), random_interactions(rng)
+        model.fit(data)
+        seen = set(data.seen_items(0).tolist())
+        got, _ = model.recommend_top_n(data.user_ids[0], data.num_items + 5,
+                                       exclude_seen=True, interactions=data)
+        assert len(got) == data.num_items - len(seen)
+        assert {data.item_index[t] for t, _ in got} == set(range(data.num_items)) - seen
+
+    def test_cold_start_n_beyond_items(self, rng):
+        model, data = ALSExplicit(rank=3, reg=0.1, sweeps=2, seed=5), random_interactions(rng)
+        model.fit(data)
+        items, cold = model.recommend_top_n("nobody", data.num_items + 5, interactions=data)
+        pop = data.item_popularity()
+        expected = sorted(range(data.num_items), key=lambda j: (-pop[j], j))
+        assert cold
+        assert [data.item_index[t] for t, _ in items] == expected
+        assert [s for _, s in items] == [float(pop[j]) for j in expected]
+
+
 class TestHoldout:
     def test_per_user_holdout_shapes(self, rng):
         data = random_interactions(rng, n_users=12, n_items=10, n_obs=60)
@@ -273,6 +473,22 @@ class TestHoldout:
         # one held-out triple per multi-rating user
         multi = sum(1 for c in np.bincount(data.users, minlength=12) if c >= 2)
         assert test.num_triples == multi
+
+    def test_same_split_as_per_group_positions(self, rng):
+        data = random_interactions(rng, n_users=30, n_items=20, n_obs=200)
+        train, test = per_user_holdout(data, seed=4)
+        # One rng.choice per user with 2+ ratings, in user order, over the
+        # user's triple positions in triple order.
+        oracle_rng = np.random.default_rng(4)
+        holdout = np.zeros(data.num_triples, dtype=bool)
+        positions = np.arange(data.num_triples)
+        for mine, _ in per_group_lists(data.users, positions, data.ratings, data.num_users):
+            if mine.shape[0] >= 2:
+                holdout[oracle_rng.choice(mine)] = True
+        for part, keep in ((train, ~holdout), (test, holdout)):
+            np.testing.assert_array_equal(part.users, data.users[keep])
+            np.testing.assert_array_equal(part.items, data.items[keep])
+            np.testing.assert_array_equal(part.ratings, data.ratings[keep])
 
     def test_holdout_requires_repeat_users(self):
         data = build_interactions(interactions_table([("a", "x", 1.0)]), "u", "i", "r")
