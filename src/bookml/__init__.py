@@ -3,146 +3,86 @@
 Columnar CSV ingestion, TF-IDF feature pipelines, from-scratch linear and
 tree classifiers, ALS recommenders, cross-validated model selection, and a
 batch CLI, all with deterministic seeding.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first access (PEP 562), so a command that
+needs no sparse features never loads scipy.
 """
 
-from .base import BaseEstimator, check_is_fitted
-from .ensemble import (
-    BlockImportances,
-    GradientBoostedTreesClassifier,
-    RandomForestClassifier,
-    block_importances,
-)
-from .errors import (
-    BookmlError,
-    ConfigError,
-    DataError,
-    NotFittedError,
-    NumericError,
-)
-from .linear import LinearSVC, LogisticRegressionClassifier, logistic_objective
-from .metrics import (
-    MetricsReport,
-    evaluate_binary,
-    evaluate_multiclass,
-    evaluate_regression,
-)
-from .pipeline import (
-    AssembleColumns,
-    CountTokens,
-    FilterStopwords,
-    Pipeline,
-    ScaleMinMax,
-    Stage,
-    TokenizeText,
-    WeightIdf,
-    pipeline_fit_transform,
-)
-from .recommend import (
-    ALSExplicit,
-    ALSImplicit,
-    InteractionSet,
-    build_interactions,
-    evaluate_holdout,
-    per_user_holdout,
-)
-from .scaling import MinMaxState, binarize_label, fit_minmax, transform_minmax
-from .selection import (
-    TuneResult,
-    cross_validate,
-    expand_grid,
-    kfold_indices,
-    train_validation_split,
-)
-from .table import (
-    Field,
-    IngestOptions,
-    Schema,
-    Table,
-    column_stats,
-    join_inner,
-    load_table,
-    parse_csv,
-    save_table,
-    split_random,
-    write_csv,
-)
-from .text import (
-    Vocabulary,
-    fit_count_vectorizer,
-    idf_weights,
-    remove_stopwords,
-    tokenize,
-)
-from .tree import DecisionTreeClassifier, TreeNode, best_split, gini, predict_tree
-from .vectors import BlockMap, FeatureVector, stack_vectors
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALSExplicit",
-    "ALSImplicit",
-    "AssembleColumns",
-    "BaseEstimator",
-    "BlockImportances",
-    "BlockMap",
-    "BookmlError",
-    "ConfigError",
-    "CountTokens",
-    "DataError",
-    "DecisionTreeClassifier",
-    "FeatureVector",
-    "Field",
-    "FilterStopwords",
-    "GradientBoostedTreesClassifier",
-    "IngestOptions",
-    "InteractionSet",
-    "LinearSVC",
-    "LogisticRegressionClassifier",
-    "MetricsReport",
-    "MinMaxState",
-    "NotFittedError",
-    "NumericError",
-    "Pipeline",
-    "RandomForestClassifier",
-    "ScaleMinMax",
-    "Schema",
-    "Stage",
-    "Table",
-    "TokenizeText",
-    "TreeNode",
-    "TuneResult",
-    "Vocabulary",
-    "WeightIdf",
-    "best_split",
-    "binarize_label",
-    "block_importances",
-    "build_interactions",
-    "check_is_fitted",
-    "column_stats",
-    "cross_validate",
-    "evaluate_binary",
-    "evaluate_holdout",
-    "evaluate_multiclass",
-    "evaluate_regression",
-    "expand_grid",
-    "fit_count_vectorizer",
-    "fit_minmax",
-    "gini",
-    "idf_weights",
-    "join_inner",
-    "kfold_indices",
-    "load_table",
-    "logistic_objective",
-    "parse_csv",
-    "per_user_holdout",
-    "pipeline_fit_transform",
-    "predict_tree",
-    "remove_stopwords",
-    "save_table",
-    "split_random",
-    "stack_vectors",
-    "tokenize",
-    "train_validation_split",
-    "transform_minmax",
-    "write_csv",
-]
+_MODULE_EXPORTS = {
+    "base": ("BaseEstimator", "check_is_fitted"),
+    "ensemble": (
+        "BlockImportances",
+        "GradientBoostedTreesClassifier",
+        "RandomForestClassifier",
+        "block_importances",
+    ),
+    "errors": ("BookmlError", "ConfigError", "DataError", "NotFittedError", "NumericError"),
+    "linear": ("LinearSVC", "LogisticRegressionClassifier", "logistic_objective"),
+    "metrics": ("MetricsReport", "evaluate_binary", "evaluate_multiclass", "evaluate_regression"),
+    "pipeline": (
+        "AssembleColumns",
+        "CountTokens",
+        "FilterStopwords",
+        "Pipeline",
+        "ScaleMinMax",
+        "Stage",
+        "TokenizeText",
+        "WeightIdf",
+        "pipeline_fit_transform",
+    ),
+    "recommend": (
+        "ALSExplicit",
+        "ALSImplicit",
+        "InteractionSet",
+        "build_interactions",
+        "evaluate_holdout",
+        "per_user_holdout",
+    ),
+    "scaling": ("MinMaxState", "binarize_label", "fit_minmax", "transform_minmax"),
+    "selection": (
+        "TuneResult",
+        "cross_validate",
+        "expand_grid",
+        "kfold_indices",
+        "train_validation_split",
+    ),
+    "table": (
+        "Field",
+        "IngestOptions",
+        "Schema",
+        "Table",
+        "column_stats",
+        "join_inner",
+        "load_table",
+        "parse_csv",
+        "save_table",
+        "split_random",
+        "write_csv",
+    ),
+    "text": ("Vocabulary", "fit_count_vectorizer", "idf_weights", "remove_stopwords", "tokenize"),
+    "tree": ("DecisionTreeClassifier", "TreeNode", "best_split", "gini", "predict_tree"),
+    "vectors": ("BlockMap", "FeatureVector", "stack_vectors"),
+}
+
+# Public name -> the module that defines it.
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,6 +7,10 @@ the output directory when it finishes writing (``verify-model`` only when
 the artifact verifies).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+
+The feature pipeline (and with it scipy) is imported inside the classifier
+code only, so ``synth``, ``prepare``, the ALS ``train`` runs, ``recommend``
+and ``verify-model`` of a recommender never load scipy.
 """
 
 import argparse
@@ -30,15 +34,6 @@ from .errors import BookmlError, ConfigError, DataError
 from .linear import LinearSVC, LogisticRegressionClassifier
 from .metrics import evaluate_multiclass
 from .persist import load_artifact, model_from_json, model_to_json, save_artifact
-from .pipeline import (
-    AssembleColumns,
-    CountTokens,
-    FilterStopwords,
-    Pipeline,
-    ScaleMinMax,
-    TokenizeText,
-    WeightIdf,
-)
 from .recommend import ALSExplicit, ALSImplicit, build_interactions, evaluate_holdout
 from .scaling import binarize_label
 from .selection import SELECTION_METRICS, cross_validate, train_validation_split
@@ -55,7 +50,6 @@ from .table import (
     split_random,
 )
 from .tree import DecisionTreeClassifier
-from .vectors import dense_if_full
 
 CLASSIFIER_MODELS = ("logistic", "svc", "dtree", "rforest", "gbt")
 RECOMMENDER_MODELS = ("als", "als_implicit")
@@ -274,6 +268,15 @@ def cmd_prepare(cfg):
 
 
 def feature_stages(cfg):
+    from .pipeline import (
+        AssembleColumns,
+        CountTokens,
+        FilterStopwords,
+        ScaleMinMax,
+        TokenizeText,
+        WeightIdf,
+    )
+
     stages = [
         ScaleMinMax("price", "price_norm"),
         ScaleMinMax("r_time", "time_norm"),
@@ -328,6 +331,8 @@ def feature_matrix(table):
 
     Dense or CSR by the same occupancy rule as ``stack_vectors``.
     """
+    from .vectors import dense_if_full
+
     return dense_if_full(table.column("features").values)
 
 
@@ -336,6 +341,15 @@ def _load_prepared(cfg):
     if not (path / "schema.json").exists():
         raise DataError(f"{path}: prepared table not found; run `prepare` first")
     return load_table(path)
+
+
+def _artifact_model(artifact, kinds):
+    """The artifact's model, checked to be one of kinds before it is built."""
+    doc = artifact.get("model")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in kinds:
+        raise DataError(f"{artifact['artifact']} artifact holds model kind {kind!r}")
+    return model_from_json(doc)
 
 
 def _model_scores(model, X):
@@ -378,6 +392,8 @@ def _class_balance(y, k):
 
 
 def _train_classifier(cfg, prepared, out):
+    from .pipeline import Pipeline
+
     train_tbl, test_tbl = split_random(prepared, 1.0 - cfg.test_fraction, cfg.seed)
     pipe = Pipeline(feature_stages(cfg))
     X_train = feature_matrix(pipe.fit_transform(train_tbl))
@@ -560,6 +576,8 @@ def cmd_compare(cfg):
         print("comparison inconclusive: " + report["reason"])
         return report
 
+    from .pipeline import Pipeline
+
     pipe = Pipeline(feature_stages(cfg))
     X_train = feature_matrix(pipe.fit_transform(train_tbl))
     X_test = feature_matrix(pipe.transform(test_tbl))
@@ -617,7 +635,7 @@ def cmd_recommend(cfg, user_id, n, exclude_seen=True, evaluate=False):
     artifact = load_artifact(out / "model.json")
     if artifact.get("artifact") != "recommender":
         raise DataError("model.json is not a recommender artifact; train als/als_implicit first")
-    model = model_from_json(artifact["model"])
+    model = _artifact_model(artifact, RECOMMENDER_MODELS)
     prepared = _load_prepared(cfg)
     data = build_interactions(prepared, "user_id", "title", "r_score")
     items, cold = model.recommend_top_n(user_id, n, exclude_seen=exclude_seen,
@@ -659,8 +677,10 @@ def cmd_verify(path):
     artifact = load_artifact(path)
     mismatches = []
     if artifact.get("artifact") == "classifier":
+        from .pipeline import Pipeline
+
         pipe = Pipeline.from_json(artifact["pipeline"])
-        model = model_from_json(artifact["model"])
+        model = _artifact_model(artifact, CLASSIFIER_MODELS)
         probes = artifact["probes"]
         table = _rebuild_probe_table(probes["inputs"])
         out = pipe.transform(table)
@@ -678,7 +698,7 @@ def cmd_verify(path):
             if _model_scores(model, X) != probes["expected_scores"]:
                 mismatches.append("model scores differ")
     elif artifact.get("artifact") == "recommender":
-        model = model_from_json(artifact["model"])
+        model = _artifact_model(artifact, RECOMMENDER_MODELS)
         for probe in artifact["probes"]["pairs"]:
             got = model.score(probe["user"], probe["item"]).value
             if got != probe["score"]:

@@ -5,25 +5,24 @@ saved model can be re-verified after deserialization without the original
 data. JSON keeps float64 values bit-exact through the repr round trip.
 """
 
+import importlib
 import json
 from pathlib import Path
 
-from .ensemble import GradientBoostedTreesClassifier, RandomForestClassifier
 from .errors import DataError
-from .linear import LinearSVC, LogisticRegressionClassifier
-from .recommend import ALSExplicit, ALSImplicit
-from .tree import DecisionTreeClassifier
 
 ARTIFACT_FORMAT_VERSION = 1
 
+# Model kind -> "module:class" within bookml. The class is imported when a
+# model of its kind is loaded, so importing this module loads no estimator.
 MODEL_TYPES = {
-    "logistic": LogisticRegressionClassifier,
-    "svc": LinearSVC,
-    "dtree": DecisionTreeClassifier,
-    "rforest": RandomForestClassifier,
-    "gbt": GradientBoostedTreesClassifier,
-    "als": ALSExplicit,
-    "als_implicit": ALSImplicit,
+    "logistic": "linear:LogisticRegressionClassifier",
+    "svc": "linear:LinearSVC",
+    "dtree": "tree:DecisionTreeClassifier",
+    "rforest": "ensemble:RandomForestClassifier",
+    "gbt": "ensemble:GradientBoostedTreesClassifier",
+    "als": "recommend:ALSExplicit",
+    "als_implicit": "recommend:ALSImplicit",
 }
 
 
@@ -36,10 +35,11 @@ def model_to_json(model):
 
 def model_from_json(doc):
     kind = doc.get("kind")
-    cls = MODEL_TYPES.get(kind)
-    if cls is None:
+    target = MODEL_TYPES.get(kind) if isinstance(kind, str) else None
+    if target is None:
         raise DataError(f"unknown model kind {kind!r}")
-    return cls.from_json(doc)
+    module, name = target.split(":")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name).from_json(doc)
 
 
 def save_artifact(path, doc):
@@ -56,7 +56,9 @@ def load_artifact(path):
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: corrupt artifact ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != ARTIFACT_FORMAT_VERSION:
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: artifact is not a JSON object")
+    if doc.get("format_version") != ARTIFACT_FORMAT_VERSION:
         raise DataError(
             f"{path}: unsupported artifact version {doc.get('format_version')!r}"
         )

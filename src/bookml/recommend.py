@@ -17,6 +17,7 @@ import logging
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -150,47 +151,53 @@ def build_interactions(table, user_col, item_col, rating_col):
     """Index ids by first appearance and deduplicate (user, item) pairs.
 
     Rows with a null id or rating are dropped and counted; duplicate pairs
-    keep the last occurrence's rating.
+    keep the last occurrence's rating and the first occurrence's position.
     """
     ucol = table.column(user_col)
     icol = table.column(item_col)
     rcol = table.column(rating_col)
     if rcol.dtype not in ("int64", "float64"):
         raise DataError(f"rating column {rating_col!r} must be numeric")
-    user_ids, item_ids = [], []
-    user_index, item_index = {}, {}
-    pair_rating = {}
-    pair_order = {}
-    dropped = 0
-    for row in range(table.row_count):
-        u, v, r = ucol.value_at(row), icol.value_at(row), rcol.value_at(row)
-        if u is None or v is None or r is None:
-            dropped += 1
-            continue
-        if u not in user_index:
-            user_index[u] = len(user_ids)
-            user_ids.append(u)
-        if v not in item_index:
-            item_index[v] = len(item_ids)
-            item_ids.append(v)
-        pair = (user_index[u], item_index[v])
-        if pair not in pair_order:
-            pair_order[pair] = len(pair_order)
-        pair_rating[pair] = float(r)
-    if not pair_rating:
+    keep = ~(ucol.mask | icol.mask | rcol.mask)
+    dropped = table.row_count - int(keep.sum())
+    if dropped == table.row_count:
         raise DataError("no usable (user, item, rating) triples")
-    duplicates = table.row_count - dropped - len(pair_rating)
-    pairs = sorted(pair_order, key=pair_order.get)
-    users = np.array([p[0] for p in pairs], dtype=np.int64)
-    items = np.array([p[1] for p in pairs], dtype=np.int64)
-    ratings = np.array([pair_rating[p] for p in pairs], dtype=np.float64)
+    user_ids, user_index, row_users = _index_ids(_kept_values(ucol, keep))
+    item_ids, item_index, row_items = _index_ids(_kept_values(icol, keep))
+    row_ratings = rcol.values[keep].astype(np.float64)
+
+    # Rows of one pair are adjacent after a stable sort of their pair keys,
+    # in row order: the first row of a run places the pair, the last rates it.
+    keys = row_users * len(item_ids) + row_items
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    first = order[starts]
+    last = order[np.append(starts[1:], order.shape[0]) - 1]
+    by_first = np.argsort(first)
+    first, last = first[by_first], last[by_first]
+    duplicates = order.shape[0] - first.shape[0]
     if dropped:
         logger.info("build_interactions: dropped %d rows with null ids/ratings", dropped)
     return InteractionSet(
-        user_ids, item_ids, users, items, ratings,
+        user_ids, item_ids, row_users[first], row_items[first], row_ratings[last],
         dropped_nulls=dropped, duplicates_resolved=duplicates,
         user_index=user_index, item_index=item_index,
     )
+
+
+def _kept_values(col, keep):
+    """The column's kept values as Python objects, as value_at returns them."""
+    if isinstance(col.values, np.ndarray):
+        return col.values[keep].tolist()
+    return list(compress(col.values, keep.tolist()))
+
+
+def _index_ids(values):
+    """Distinct values in first-appearance order, their index, and each value's code."""
+    ids = list(dict.fromkeys(values))
+    index = {v: i for i, v in enumerate(ids)}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+    return ids, index, codes
 
 
 def _solve_ridge(A, b, reg):
@@ -330,17 +337,96 @@ class _ALSBase(BaseEstimator):
 
     @classmethod
     def from_json(cls, doc):
+        """Rebuild a fitted model from ``to_json``'s document.
+
+        The document is checked first: its keys, the kind, an int rank of
+        at least 1, the constructor params, unique string ids, factor
+        shapes of len(ids) x rank, and finite numbers throughout. Any
+        violation raises DataError.
+        """
+        _check_factor_doc(cls, doc)
+        rank = doc["rank"]
         model = cls(**doc["params"])
-        model.rank_ = doc["rank"]
-        model.user_ids_ = list(doc["user_ids"])
-        model.item_ids_ = list(doc["item_ids"])
+        model.rank_ = rank
+        model.user_ids_ = _id_list(doc["user_ids"], "user_ids")
+        model.item_ids_ = _id_list(doc["item_ids"], "item_ids")
         model.user_index_ = {u: i for i, u in enumerate(model.user_ids_)}
         model.item_index_ = {v: i for i, v in enumerate(model.item_ids_)}
-        model.user_factors_ = np.asarray(doc["user_factors"], dtype=np.float64)
-        model.item_factors_ = np.asarray(doc["item_factors"], dtype=np.float64)
-        model.global_mean_ = doc["global_mean"]
-        model.objective_trace_ = np.asarray(doc["objective_trace"])
+        model.user_factors_ = _finite_array(
+            doc["user_factors"], "user_factors", (len(model.user_ids_), rank))
+        model.item_factors_ = _finite_array(
+            doc["item_factors"], "item_factors", (len(model.item_ids_), rank))
+        model.global_mean_ = float(_finite_array(doc["global_mean"], "global_mean", ()))
+        model.objective_trace_ = _finite_array(doc["objective_trace"], "objective_trace", None)
         return model
+
+
+_FACTOR_DOC_KEYS = ("format_version", "kind", "rank", "params", "user_ids", "item_ids",
+                    "user_factors", "item_factors", "global_mean", "objective_trace")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_factor_doc(cls, doc):
+    """Top-level keys, kind, rank and params of a factor model document."""
+    if not isinstance(doc, dict):
+        raise DataError("factor model must be a JSON object")
+    missing = [key for key in _FACTOR_DOC_KEYS if key not in doc]
+    if missing:
+        raise DataError(f"factor model lacks keys {missing}")
+    if not _is_int(doc["format_version"]) or doc["format_version"] != FACTOR_FORMAT_VERSION:
+        raise DataError(f"unsupported factor format {doc['format_version']!r}")
+    if doc["kind"] != cls.kind:
+        raise DataError(f"factor model kind {doc['kind']!r} is not {cls.kind!r}")
+    rank = doc["rank"]
+    if not _is_int(rank) or rank < 1:
+        raise DataError(f"factor rank must be an int >= 1, got {rank!r}")
+    params = doc["params"]
+    names = cls._param_names()
+    if not isinstance(params, dict) or sorted(params) != sorted(names):
+        got = sorted(params) if isinstance(params, dict) else type(params).__name__
+        raise DataError(f"factor model params must be exactly {sorted(names)}, got {got}")
+    for name, value in params.items():
+        if name in ("rank", "sweeps"):
+            ok = _is_int(value)
+        elif name == "seed":
+            ok = value is None or _is_int(value)
+        else:
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not ok:
+            raise DataError(f"factor model param {name}={value!r} has the wrong type")
+    if params["rank"] != rank:
+        raise DataError(f"factor model params rank {params['rank']} != rank {rank}")
+
+
+def _id_list(value, what):
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DataError(f"{what} must be a list of strings")
+    if len(set(value)) != len(value):
+        raise DataError(f"{what} has duplicate ids")
+    return list(value)
+
+
+def _finite_array(value, what, shape):
+    """value as a float64 array of the given shape (None: any 1-d length).
+
+    Only JSON numbers are accepted: ragged lists, strings, booleans and
+    nulls are rejected, as are NaN and infinities.
+    """
+    try:
+        arr = np.array(value)
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{what} is not a rectangular array of numbers") from exc
+    want = (arr.ndim == 1) if shape is None else (arr.shape == shape)
+    if arr.dtype.kind not in "if" or not want:
+        expected = "a list of numbers" if shape is None else f"of shape {shape}"
+        raise DataError(f"{what} must be {expected}, got {arr.dtype} {arr.shape}")
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{what} has non-finite values")
+    return arr
 
 
 class ALSExplicit(_ALSBase):

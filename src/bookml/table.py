@@ -7,7 +7,9 @@ holds one tuple of strings per row. A "vector" column is backed by one
 float64 CSR matrix with a row per table row (sorted indices, no explicit
 zeros; a null row is an empty row) whose arrays, like those of numeric
 columns, are read-only; ``take`` slices its rows and
-``value_at(i)`` reads row i back as a ``FeatureVector``.
+``value_at(i)`` reads row i back as a ``FeatureVector``. Only the vector
+code paths import scipy and ``bookml.vectors``, so reading, joining and
+saving CSV-dtype tables never loads scipy.
 
 Persisted form is a directory: ``schema.json`` (written last, acts as the
 completion marker) plus per-column binary arrays, see ``save_table``.
@@ -19,10 +21,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse as sp
 
 from .errors import ConfigError, DataError
-from .vectors import FeatureVector, rows_to_csr
 
 logger = logging.getLogger(__name__)
 
@@ -117,6 +117,8 @@ class Column:
             values = np.asarray(values, dtype=np_dtype).copy()
             values.flags.writeable = False
         elif dtype == "vector":
+            from scipy import sparse as sp
+
             if not (sp.issparse(values) and values.format == "csr"):
                 raise DataError("a vector column is backed by one CSR matrix")
             for arr in (values.data, values.indices, values.indptr):
@@ -125,13 +127,13 @@ class Column:
             values = tuple(values)
         mask = np.asarray(mask, dtype=bool).copy()
         mask.flags.writeable = False
-        if _length(values) != mask.shape[0]:
+        if _length(dtype, values) != mask.shape[0]:
             raise DataError("column values and null mask lengths differ")
         self.values = values
         self.mask = mask
 
     def __len__(self):
-        return _length(self.values)
+        return _length(self.dtype, self.values)
 
     def take(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
@@ -152,6 +154,8 @@ class Column:
         if self.mask[i]:
             return None
         if self.dtype == "vector":
+            from .vectors import FeatureVector
+
             return FeatureVector.from_csr_row(self.values, i)
         v = self.values[i]
         if self.dtype == "int64":
@@ -178,8 +182,8 @@ class Column:
         )
 
 
-def _length(values):
-    return values.shape[0] if sp.issparse(values) else len(values)
+def _length(dtype, values):
+    return values.shape[0] if dtype == "vector" else len(values)
 
 
 def _null_fill(dtype):
@@ -226,6 +230,8 @@ class Table:
                 row_count = len(raw)
             mask = np.array([v is None for v in raw], dtype=bool)
             if f.dtype == "vector":
+                from .vectors import FeatureVector, rows_to_csr
+
                 dim = next((v.dim for v in raw if v is not None), 0)
                 empty = FeatureVector.empty(dim)
                 vals = rows_to_csr([empty if v is None else v for v in raw], dim)
@@ -258,7 +264,7 @@ class Table:
         values is a sequence, or a CSR matrix for a "vector" column.
         """
         if mask is None:
-            mask = np.zeros(_length(values), dtype=bool)
+            mask = np.zeros(self.row_count, dtype=bool)
         col = Column(dtype, values, mask)
         if len(col) != self.row_count:
             raise DataError("new column length != row_count")

@@ -1,10 +1,32 @@
-"""Input validation helpers shared by the estimators."""
+"""Input validation helpers shared by the estimators.
+
+Importing this module loads neither scipy nor ``bookml.vectors``. An input
+can be a sparse matrix only once ``scipy.sparse`` is loaded, and a
+FeatureVector only once ``bookml.vectors`` is, so the checks look them up in
+``sys.modules`` and a dense-only process never imports either.
+``stack_vectors`` stays an attribute of this module: it is imported from
+``bookml.vectors`` on first access and bound here from then on.
+"""
+
+import sys
 
 import numpy as np
-from scipy import sparse as sp
 
 from .errors import DataError
-from .vectors import FeatureVector, stack_vectors
+
+
+def __getattr__(name):
+    if name != "stack_vectors":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .vectors import stack_vectors
+
+    globals()[name] = stack_vectors
+    return stack_vectors
+
+
+def _issparse(X):
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(X)
 
 
 def as_feature_matrix(X):
@@ -13,17 +35,19 @@ def as_feature_matrix(X):
     Accepts ndarrays, CSR/CSC matrices, nested sequences, a list of
     FeatureVectors, or a single FeatureVector (treated as one row).
     """
-    if isinstance(X, FeatureVector):
-        return X.to_dense().reshape(1, -1)
-    if sp.issparse(X):
+    vectors = sys.modules.get(f"{__package__}.vectors")
+    if vectors is not None:
+        if isinstance(X, vectors.FeatureVector):
+            return X.to_dense().reshape(1, -1)
+        if isinstance(X, (list, tuple)) and X and isinstance(X[0], vectors.FeatureVector):
+            return vectors.stack_vectors(X)
+    if _issparse(X):
         out = X.tocsr()
         if out.dtype != np.float64:
             out = out.astype(np.float64)
         if out.ndim != 2:
             raise DataError("sparse input must be 2-d")
         return out
-    if isinstance(X, (list, tuple)) and X and isinstance(X[0], FeatureVector):
-        return stack_vectors(X)
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -61,13 +85,13 @@ def check_matching_dim(model_dim, X):
 def row_scores(X, W, b):
     """X @ W.T + b for dense or CSR X; always returns a dense ndarray."""
     scores = X @ W.T
-    if sp.issparse(scores):
+    if _issparse(scores):
         scores = scores.toarray()
     return np.asarray(scores) + b
 
 
 def take_rows(X, idx):
     """Row subset for ndarray / CSR / 1-d arrays; used by resampling code."""
-    if sp.issparse(X):
+    if _issparse(X):
         return X[idx]
     return np.asarray(X)[idx]

@@ -1,7 +1,50 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bookml
 from bookml import Table
+
+SRC = Path(bookml.__file__).resolve().parent.parent
+
+# Runs bookml.cli.main on argv in a fresh interpreter; the last stdout line
+# reports the exit code and whether scipy was loaded when main returned.
+_CLI_RUNNER = (
+    "import json, sys\n"
+    "from bookml.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps({'code': code, 'scipy': 'scipy' in sys.modules}))\n"
+)
+
+
+def run_python(code, *args):
+    """Run a Python snippet in a fresh interpreter with this bookml on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    return run_python
+
+
+@pytest.fixture(scope="session")
+def cli_subprocess():
+    """Callable: run one CLI command in a fresh process; returns (exit code, scipy loaded)."""
+    def run(argv):
+        result = json.loads(run_python(_CLI_RUNNER, *argv).splitlines()[-1])
+        return result["code"], result["scipy"]
+
+    return run
 
 
 @pytest.fixture

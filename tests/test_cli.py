@@ -1,8 +1,10 @@
+import copy
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bookml.cli import main
 from bookml.synth import generate_corpus
@@ -361,6 +363,117 @@ class TestRecommendAndVerify:
         assert code == 3
 
 
+def _drop_key(doc, key):
+    del doc[key]
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _drop_rows(key, k):
+    def mutate(doc):
+        del doc[key][-k:]
+    return mutate
+
+
+def _set_entry(key, value):
+    def mutate(doc):
+        doc[key][-1][0] = value
+    return mutate
+
+
+# Malformed ALS model documents: each must fail to load with a DataError.
+FACTOR_DOC_MUTATIONS = {
+    "missing item_ids": lambda doc: _drop_key(doc, "item_ids"),
+    "classifier kind": _set("kind", "logistic"),
+    "unknown kind": _set("kind", "nope"),
+    "other ALS kind": _set("kind", "als_implicit"),
+    "unknown param": lambda doc: doc["params"].update(extra=1),
+    "missing param": lambda doc: _drop_key(doc["params"], "reg"),
+    "string param": lambda doc: doc["params"].update(reg="0.1"),
+    "params rank differs": lambda doc: doc["params"].update(rank=doc["rank"] + 1),
+    "ragged factor row": lambda doc: doc["user_factors"][0].pop(),
+    "user_factors 5 rows short": _drop_rows("user_factors", 5),
+    "item_factors a row short": _drop_rows("item_factors", 1),
+    "string rank": _set("rank", "4"),
+    "bool rank": _set("rank", True),
+    "zero rank": _set("rank", 0),
+    "float rank": _set("rank", 4.0),
+    "rank wider than factors": _set("rank", 5),
+    "NaN factor": _set_entry("user_factors", float("nan")),
+    "infinite factor": _set_entry("item_factors", float("inf")),
+    "string factor": _set_entry("item_factors", "0.5"),
+    "null factor": _set_entry("user_factors", None),
+    "NaN global_mean": _set("global_mean", float("nan")),
+    "string global_mean": _set("global_mean", "3.5"),
+    "NaN objective": lambda doc: doc["objective_trace"].append(float("nan")),
+    "duplicate user id": lambda doc: doc["user_ids"].__setitem__(1, doc["user_ids"][0]),
+    "numeric item id": lambda doc: doc["item_ids"].__setitem__(0, 7),
+    "ids not a list": _set("user_ids", "U000001"),
+    "list kind": lambda doc: doc.clear() or doc.update(kind=["als"]),
+}
+
+
+class TestRecommenderArtifactChecks:
+    @pytest.fixture(scope="class")
+    def als_doc(self, prepared, tmp_path_factory):
+        # Its own run directory, sharing the prepared table, so that the
+        # mutated artifacts never replace the fixture's model.json.
+        run = tmp_path_factory.mktemp("als-checks")
+        (run / "prepared").symlink_to(prepared / "prepared", target_is_directory=True)
+        assert main(["train", "--out", str(run), "--model", "als", "--sweeps", "3",
+                     "--rank", "4", "--seed", "5"]) == 0
+        return run, read_json(run / "model.json")
+
+    @staticmethod
+    def run_both(run, artifact):
+        (run / "model.json").write_text(json.dumps(artifact), encoding="utf-8")
+        user = artifact["probes"]["top_n"][0]["user"]
+        return (main(["recommend", "--out", str(run), "--user", user, "--n", "3"]),
+                main(["verify-model", "--out", str(run)]))
+
+    def test_valid_artifact_passes(self, als_doc):
+        run, doc = als_doc
+        assert self.run_both(run, doc) == (0, 0)
+
+    @pytest.mark.parametrize("name", sorted(FACTOR_DOC_MUTATIONS))
+    def test_malformed_model_is_data_error(self, als_doc, name):
+        run, doc = als_doc
+        artifact = copy.deepcopy(doc)
+        FACTOR_DOC_MUTATIONS[name](artifact["model"])
+        assert self.run_both(run, artifact) == (3, 3)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_model_is_data_error(self, als_doc, data):
+        run, doc = als_doc
+        artifact = copy.deepcopy(doc)
+        model = artifact["model"]
+        action = data.draw(st.sampled_from(["drop", "retype", "truncate", "ragged", "nonfinite"]))
+        if action == "drop":
+            del model[data.draw(st.sampled_from(sorted(model)))]
+        elif action == "retype":
+            key = data.draw(st.sampled_from(sorted(model)))
+            model[key] = data.draw(st.sampled_from(
+                [None, True, "x", {"a": 1}, [[1.0]]]).filter(lambda v: v != model[key]))
+        else:
+            key = data.draw(st.sampled_from(["user_factors", "item_factors"]))
+            rows = model[key]
+            i = data.draw(st.integers(0, len(rows) - 1))
+            if action == "truncate":
+                del rows[i]
+            elif action == "ragged":
+                rows[i] = rows[i][:data.draw(st.integers(0, len(rows[i]) - 1))]
+            else:
+                j = data.draw(st.integers(0, len(rows[i]) - 1))
+                rows[i][j] = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+        assert self.run_both(run, artifact) == (3, 3)
+
+
 class TestConfigFile:
     def test_flags_override_file(self, corpus, tmp_path):
         root, stats = corpus
@@ -478,6 +591,46 @@ class TestTreeDeterminism:
                     text = (out / fname).read_text(encoding="utf-8").replace(str(out), "<out>")
                     docs[f"{model}/{fname}"] = strip_wall_times(json.loads(text))
             runs.append(docs)
+        assert json.dumps(runs[0], sort_keys=True) == json.dumps(runs[1], sort_keys=True)
+
+    @pytest.mark.parametrize("flow", ["compare", "recommender"])
+    def test_flows_equal_across_import_states(self, corpus, tmp_path, cli_subprocess, flow):
+        # One side runs each command in a fresh process, where the recommender
+        # path never loads scipy; the other runs in this process, where it is
+        # loaded. Every JSON output matches once wall times and the output
+        # directory are taken out.
+        import scipy.sparse  # noqa: F401  (loaded for the in-process side)
+
+        root, stats = corpus
+        commands = [["prepare", "--ratings-csv", stats.ratings_path,
+                     "--books-csv", stats.books_path, "--seed", "7"]]
+        outputs = ["prepare_summary.json"]
+        if flow == "compare":
+            commands.append(["compare", "--seed", "7", "--vocab-size", "64"])
+            outputs.append("compare_report.json")
+        else:
+            commands += [
+                ["train", "--model", "als", "--rank", "4", "--sweeps", "4", "--seed", "7"],
+                ["recommend", "--user", "U000001", "--n", "5", "--evaluate", "--seed", "7"],
+                ["verify-model"],
+            ]
+            outputs += ["train_report.json", "model.json", "recommend_report.json"]
+        runs = []
+        for side in ("fresh", "loaded"):
+            out = tmp_path / side
+            for argv in commands:
+                argv = [*argv, "--out", str(out)]
+                if side == "fresh":
+                    code, scipy_loaded = cli_subprocess(argv)
+                    assert scipy_loaded == (flow == "compare" and argv[0] == "compare")
+                else:
+                    code = main(argv)
+                assert code == 0, argv
+            runs.append({
+                name: strip_wall_times(json.loads(
+                    (out / name).read_text(encoding="utf-8").replace(str(out), "<out>")))
+                for name in outputs
+            })
         assert json.dumps(runs[0], sort_keys=True) == json.dumps(runs[1], sort_keys=True)
 
 

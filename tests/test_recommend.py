@@ -76,6 +76,75 @@ class TestBuildInteractions:
         assert data.user_ids == ["u2", "u1"]
         assert data.item_ids == ["b9", "b3"]
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.one_of(st.none(), st.sampled_from(["u1", "u2", "u3", "u4"])),
+        st.one_of(st.none(), st.sampled_from(["b1", "b2", "b3"])),
+        st.one_of(st.none(), st.integers(1, 5)),
+    ), max_size=40), rating_dtype=st.sampled_from(["int64", "float64"]))
+    def test_matches_row_by_row_oracle(self, rows, rating_dtype):
+        # Small id sets make repeated pairs with differing ratings common.
+        table = Table.build(
+            [("u", "text", True), ("i", "text", True), ("r", rating_dtype, True)],
+            {"u": [r[0] for r in rows], "i": [r[1] for r in rows],
+             "r": [r[2] for r in rows]},
+        )
+        try:
+            want = build_interactions_by_row(table, "u", "i", "r")
+        except DataError:
+            with pytest.raises(DataError):
+                build_interactions(table, "u", "i", "r")
+            return
+        got = build_interactions(table, "u", "i", "r")
+        assert got.user_ids == want.user_ids
+        assert got.item_ids == want.item_ids
+        assert got.user_index == want.user_index
+        assert got.item_index == want.item_index
+        for name in ("users", "items", "ratings"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.dropped_nulls == want.dropped_nulls
+        assert got.duplicates_resolved == want.duplicates_resolved
+
+
+def build_interactions_by_row(table, user_col, item_col, rating_col):
+    """The row-at-a-time build_interactions the columnar one replaced."""
+    ucol = table.column(user_col)
+    icol = table.column(item_col)
+    rcol = table.column(rating_col)
+    user_ids, item_ids = [], []
+    user_index, item_index = {}, {}
+    pair_rating = {}
+    pair_order = {}
+    dropped = 0
+    for row in range(table.row_count):
+        u, v, r = ucol.value_at(row), icol.value_at(row), rcol.value_at(row)
+        if u is None or v is None or r is None:
+            dropped += 1
+            continue
+        if u not in user_index:
+            user_index[u] = len(user_ids)
+            user_ids.append(u)
+        if v not in item_index:
+            item_index[v] = len(item_ids)
+            item_ids.append(v)
+        pair = (user_index[u], item_index[v])
+        if pair not in pair_order:
+            pair_order[pair] = len(pair_order)
+        pair_rating[pair] = float(r)
+    if not pair_rating:
+        raise DataError("no usable (user, item, rating) triples")
+    duplicates = table.row_count - dropped - len(pair_rating)
+    pairs = sorted(pair_order, key=pair_order.get)
+    users = np.array([p[0] for p in pairs], dtype=np.int64)
+    items = np.array([p[1] for p in pairs], dtype=np.int64)
+    ratings = np.array([pair_rating[p] for p in pairs], dtype=np.float64)
+    return recommend.InteractionSet(
+        user_ids, item_ids, users, items, ratings,
+        dropped_nulls=dropped, duplicates_resolved=duplicates,
+        user_index=user_index, item_index=item_index,
+    )
+
 
 class TestExplicitALS:
     def rank1_data(self):
