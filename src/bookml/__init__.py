@@ -66,7 +66,7 @@ _MODULE_EXPORTS = {
     ),
     "text": ("Vocabulary", "fit_count_vectorizer", "idf_weights", "remove_stopwords", "tokenize"),
     "tree": ("DecisionTreeClassifier", "TreeNode", "best_split", "gini", "predict_tree"),
-    "vectors": ("BlockMap", "FeatureVector", "stack_vectors"),
+    "vectors": ("BlockMap", "stack_vectors"),
 }
 
 # Public name -> the module that defines it.

@@ -365,23 +365,16 @@ def _probe_block(pipe, model, table, cfg):
     """Inputs + expected outputs for a held-in verification probe set."""
     probe = table.head(min(PROBE_ROWS, table.row_count))
     out = pipe.transform(probe)
-    feats = [out.column("features").value_at(i) for i in range(out.row_count)]
     X = feature_matrix(out)
-    preds = model.predict(X)
-    inputs = {}
-    for name in ("price", "r_time", "r_summary", "r_review"):
-        col = probe.column(name)
-        inputs[name] = {
-            "dtype": col.dtype,
-            "values": [col.value_at(i) for i in range(probe.row_count)],
-        }
+
+    def rows(col):
+        return [col.value_at(i) for i in range(probe.row_count)]
+
+    columns = {name: probe.column(name) for name in ("price", "r_time", "r_summary", "r_review")}
     return {
-        "inputs": inputs,
-        "expected_features": [
-            {"dim": v.dim, "indices": v.indices.tolist(), "values": v.values.tolist()}
-            for v in feats
-        ],
-        "expected_labels": [int(p) for p in preds],
+        "inputs": {name: {"dtype": col.dtype, "values": rows(col)} for name, col in columns.items()},
+        "expected_features": rows(out.column("features")),
+        "expected_labels": [int(p) for p in model.predict(X)],
         "expected_scores": _model_scores(model, X),
     }
 
@@ -666,49 +659,108 @@ def cmd_recommend(cfg, user_id, n, exclude_seen=True, evaluate=False):
 # ---------------------------------------------------------------- verify
 
 
-def _rebuild_probe_table(inputs):
+def _is_a(value, kind):
+    """isinstance, except that a bool is never a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# Whether a non-null probe input value fits its CSV dtype.
+_PROBE_VALUE_OK = {
+    "text": lambda v: isinstance(v, str),
+    "int64": lambda v: _is_a(v, int) and -2**63 <= v < 2**63,
+    "float64": lambda v: _is_a(v, float) or _is_a(v, int) and abs(v) <= sys.float_info.max,
+}
+
+
+def _probe_list(probes, key, rows=None, entry_ok=lambda entry: True):
+    """probes[key], checked: a nonempty list, of rows entries if given, each passing entry_ok."""
+    value = probes.get(key)
+    if (not isinstance(value, list) or not value or rows is not None and len(value) != rows
+            or not all(entry_ok(entry) for entry in value)):
+        per_row = f", one per probe row ({rows})" if rows else ""
+        raise DataError(f"probes.{key} must be a nonempty list of well-formed entries{per_row}")
+    return value
+
+
+def _probe_table(probes):
+    """The classifier probes' input columns as a Table, checked before use."""
+    inputs = probes.get("inputs")
+    if not isinstance(inputs, dict) or not inputs:
+        raise DataError("probes.inputs must map column names to columns")
+    for name, col in inputs.items():
+        dtype = col.get("dtype") if isinstance(col, dict) else None
+        ok = _PROBE_VALUE_OK.get(dtype) if isinstance(dtype, str) else None
+        values = col.get("values") if ok else None
+        if not name or not isinstance(values, list) or not all(
+                v is None or ok(v) for v in values):
+            raise DataError(f"probe input {name!r} needs a CSV dtype and values of that type")
+    lengths = {len(col["values"]) for col in inputs.values()}
+    if len(lengths) != 1 or 0 in lengths:
+        raise DataError("probe inputs must hold the same nonzero number of rows")
     schema = [(name, col["dtype"], True) for name, col in inputs.items()]
-    data = {name: col["values"] for name, col in inputs.items()}
-    return Table.build(schema, data)
+    return Table.build(schema, {name: col["values"] for name, col in inputs.items()})
+
+
+def _verify_classifier(artifact, probes):
+    from .pipeline import Pipeline
+
+    pipe = Pipeline.from_json(artifact["pipeline"])
+    model = _artifact_model(artifact, CLASSIFIER_MODELS)
+    table = _probe_table(probes)
+    expected_features = _probe_list(probes, "expected_features", table.row_count)
+    expected_labels = _probe_list(probes, "expected_labels", table.row_count)
+    expected_scores = probes.get("expected_scores")
+    if expected_scores is not None:
+        _probe_list(probes, "expected_scores", table.row_count)
+    mismatches = []
+    out = pipe.transform(table)
+    feats = out.column("features")
+    for i, expect in enumerate(expected_features):
+        if feats.value_at(i) != expect:
+            mismatches.append(f"feature vector {i} differs")
+    X = feature_matrix(out)
+    for i, (got, expect) in enumerate(zip(model.predict(X), expected_labels)):
+        if int(got) != expect:
+            mismatches.append(f"prediction {i}: got {int(got)}, expected {expect}")
+    if expected_scores is not None and _model_scores(model, X) != expected_scores:
+        mismatches.append("model scores differ")
+    return mismatches
+
+
+def _verify_recommender(artifact, probes):
+    model = _artifact_model(artifact, RECOMMENDER_MODELS)
+    pairs = _probe_list(probes, "pairs", entry_ok=lambda p: isinstance(p, dict)
+                        and _is_a(p.get("user"), str) and _is_a(p.get("item"), str)
+                        and _is_a(p.get("score"), (int, float)))
+    top_n = _probe_list(probes, "top_n", entry_ok=lambda p: isinstance(p, dict)
+                        and _is_a(p.get("user"), str) and _is_a(p.get("n"), int)
+                        and p["n"] >= 1 and isinstance(p.get("items"), list)
+                        and all(_is_a(t, str) for t in p["items"]))
+    mismatches = []
+    for probe in pairs:
+        if model.score(probe["user"], probe["item"]).value != probe["score"]:
+            mismatches.append(f"score({probe['user']}, {probe['item']}) differs")
+    for probe in top_n:
+        items, _ = model.recommend_top_n(probe["user"], probe["n"], exclude_seen=False)
+        if [t for t, _ in items] != probe["items"]:
+            mismatches.append(f"top-{probe['n']} for {probe['user']} differs")
+    return mismatches
 
 
 def cmd_verify(path):
-    """Deserialize an artifact and re-check its embedded probe expectations."""
+    """Deserialize an artifact, check its probe block, and re-check its expectations."""
     artifact = load_artifact(path)
-    mismatches = []
-    if artifact.get("artifact") == "classifier":
-        from .pipeline import Pipeline
-
-        pipe = Pipeline.from_json(artifact["pipeline"])
-        model = _artifact_model(artifact, CLASSIFIER_MODELS)
-        probes = artifact["probes"]
-        table = _rebuild_probe_table(probes["inputs"])
-        out = pipe.transform(table)
-        feats = [out.column("features").value_at(i) for i in range(out.row_count)]
-        for i, (vec, expect) in enumerate(zip(feats, probes["expected_features"])):
-            got = {"dim": vec.dim, "indices": vec.indices.tolist(), "values": vec.values.tolist()}
-            if got != expect:
-                mismatches.append(f"feature vector {i} differs")
-        X = feature_matrix(out)
-        preds = model.predict(X)
-        for i, (got, expect) in enumerate(zip(preds, probes["expected_labels"])):
-            if int(got) != expect:
-                mismatches.append(f"prediction {i}: got {int(got)}, expected {expect}")
-        if probes.get("expected_scores") is not None:
-            if _model_scores(model, X) != probes["expected_scores"]:
-                mismatches.append("model scores differ")
-    elif artifact.get("artifact") == "recommender":
-        model = _artifact_model(artifact, RECOMMENDER_MODELS)
-        for probe in artifact["probes"]["pairs"]:
-            got = model.score(probe["user"], probe["item"]).value
-            if got != probe["score"]:
-                mismatches.append(f"score({probe['user']}, {probe['item']}) differs")
-        for probe in artifact["probes"]["top_n"]:
-            items, _ = model.recommend_top_n(probe["user"], probe["n"], exclude_seen=False)
-            if [t for t, _ in items] != probe["items"]:
-                mismatches.append(f"top-{probe['n']} for {probe['user']} differs")
+    kind = artifact.get("artifact")
+    if kind == "classifier":
+        verify = _verify_classifier
+    elif kind == "recommender":
+        verify = _verify_recommender
     else:
-        raise DataError(f"{path}: unknown artifact kind {artifact.get('artifact')!r}")
+        raise DataError(f"{path}: unknown artifact kind {kind!r}")
+    probes = artifact.get("probes")
+    if not isinstance(probes, dict):
+        raise DataError(f"{path}: {kind} artifact has no probes block")
+    mismatches = verify(artifact, probes)
     if mismatches:
         raise DataError(
             f"{path}: verification failed with {len(mismatches)} mismatch(es): "

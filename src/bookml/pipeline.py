@@ -215,7 +215,7 @@ class ScaleMinMax(Stage):
         col = table.column(self.input_col)
         if col.dtype not in ("int64", "float64"):
             raise DataError(f"column {self.input_col!r} is not numeric")
-        if col.mask.any():
+        if col.has_nulls:
             raise DataError(
                 f"column {self.input_col!r} has nulls; drop those rows before scaling"
             )
@@ -246,13 +246,13 @@ class AssembleColumns(Stage):
         return list(self.input_cols)
 
     def _parts(self, table):
-        """One CSR block per input column; a scalar column is one CSR column."""
+        """One block per input column: a CSR matrix, or an (n, 1) float64 array."""
         parts = []
         for name in self.input_cols:
             col = table.column(name)
             if col.dtype not in ("int64", "float64", "vector"):
                 raise DataError(f"column {name!r} ({col.dtype}) cannot be assembled")
-            if col.mask.any():
+            if col.has_nulls:
                 raise DataError(f"column {name!r}: null passed to assemble")
             if col.dtype == "vector":
                 parts.append(col.values)
@@ -260,7 +260,7 @@ class AssembleColumns(Stage):
             values = np.asarray(col.values, dtype=np.float64).reshape(-1, 1)
             if np.isnan(values).any():
                 raise DataError(f"column {name!r}: NaN passed to assemble")
-            parts.append(sp.csr_matrix(values))
+            parts.append(values)
         return parts
 
     def fit(self, table):
@@ -275,10 +275,27 @@ class AssembleColumns(Stage):
         parts = self._parts(table)
         if [p.shape[1] for p in parts] != [b.length for b in self.block_map_.blocks]:
             raise DataError("part dimensions do not match the fitted block map")
-        if parts:
-            features = sp.hstack(parts, format="csr")
-        else:
-            features = sp.csr_matrix((table.row_count, 0))
+        # sp.hstack's layout (a row holds its blocks' entries in block order),
+        # written straight into one set of CSR arrays; a scalar block keeps
+        # its nonzero cells.
+        n = table.row_count
+        counts = [np.diff(p.indptr) if sp.issparse(p) else (p[:, 0] != 0).astype(np.int64)
+                  for p in parts]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sum(counts, np.zeros(n, dtype=np.int64)), out=indptr[1:])
+        indices, data = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+        start, offset = indptr[:-1].copy(), 0
+        for p, count in zip(parts, counts):
+            if sp.issparse(p):
+                end = p.indptr[-1]
+                dest = np.repeat(start - p.indptr[:-1], count) + np.arange(end)
+                indices[dest], data[dest] = p.indices[:end] + offset, p.data[:end]
+            else:
+                dest = start[count == 1]
+                indices[dest], data[dest] = offset, p[count == 1, 0]
+            start += count
+            offset += p.shape[1]
+        features = sp.csr_matrix((data, indices, indptr), shape=(n, offset))
         features.eliminate_zeros()
         features.sort_indices()
         return table.with_column(self.output_col, "vector", features)

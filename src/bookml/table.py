@@ -6,10 +6,10 @@ columns, which cannot be parsed from or persisted to CSV. A "tokens" column
 holds one tuple of strings per row. A "vector" column is backed by one
 float64 CSR matrix with a row per table row (sorted indices, no explicit
 zeros; a null row is an empty row) whose arrays, like those of numeric
-columns, are read-only; ``take`` slices its rows and
-``value_at(i)`` reads row i back as a ``FeatureVector``. Only the vector
-code paths import scipy and ``bookml.vectors``, so reading, joining and
-saving CSV-dtype tables never loads scipy.
+columns, are read-only; ``take`` slices its rows and ``value_at(i)`` reads
+row i back as ``{"dim": int, "indices": [...], "values": [...]}``, the form
+artifact probe blocks store. Only the vector column's constructor imports
+scipy, so reading, joining and saving CSV-dtype tables never loads it.
 
 Persisted form is a directory: ``schema.json`` (written last, acts as the
 completion marker) plus per-column binary arrays, see ``save_table``.
@@ -106,9 +106,9 @@ class IngestOptions:
 
 
 class Column:
-    """One typed value array plus a null mask (True = null)."""
+    """One typed value array plus a null mask (True = null) and whether it has any."""
 
-    __slots__ = ("dtype", "values", "mask")
+    __slots__ = ("dtype", "values", "mask", "has_nulls")
 
     def __init__(self, dtype, values, mask):
         self.dtype = dtype
@@ -127,13 +127,14 @@ class Column:
             values = tuple(values)
         mask = np.asarray(mask, dtype=bool).copy()
         mask.flags.writeable = False
-        if _length(dtype, values) != mask.shape[0]:
-            raise DataError("column values and null mask lengths differ")
         self.values = values
         self.mask = mask
+        self.has_nulls = bool(mask.any())
+        if len(self) != mask.shape[0]:
+            raise DataError("column values and null mask lengths differ")
 
     def __len__(self):
-        return _length(self.dtype, self.values)
+        return self.values.shape[0] if self.dtype == "vector" else len(self.values)
 
     def take(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
@@ -154,9 +155,10 @@ class Column:
         if self.mask[i]:
             return None
         if self.dtype == "vector":
-            from .vectors import FeatureVector
-
-            return FeatureVector.from_csr_row(self.values, i)
+            X = self.values
+            lo, hi = X.indptr[i], X.indptr[i + 1]
+            return {"dim": X.shape[1], "indices": X.indices[lo:hi].tolist(),
+                    "values": X.data[lo:hi].tolist()}
         v = self.values[i]
         if self.dtype == "int64":
             return int(v)
@@ -180,10 +182,6 @@ class Column:
         return all(
             a == b for a, b, k in zip(self.values, other.values, keep) if k
         )
-
-
-def _length(dtype, values):
-    return values.shape[0] if dtype == "vector" else len(values)
 
 
 def _null_fill(dtype):
@@ -211,14 +209,14 @@ class Table:
                 raise DataError(f"column {f.name!r} dtype mismatch")
             if len(col) != self.row_count:
                 raise DataError(f"column {f.name!r} length != row_count")
-            if not f.nullable and col.mask.any():
+            if not f.nullable and col.has_nulls:
                 raise DataError(f"non-nullable column {f.name!r} contains nulls")
 
     @classmethod
     def build(cls, schema, data):
         """Construct from {name: sequence}, with None marking nulls.
 
-        A "vector" column takes a sequence of FeatureVectors.
+        Build vector columns with ``with_column`` from a CSR matrix.
         """
         if not isinstance(schema, Schema):
             schema = Schema(schema)
@@ -229,15 +227,8 @@ class Table:
             if row_count is None:
                 row_count = len(raw)
             mask = np.array([v is None for v in raw], dtype=bool)
-            if f.dtype == "vector":
-                from .vectors import FeatureVector, rows_to_csr
-
-                dim = next((v.dim for v in raw if v is not None), 0)
-                empty = FeatureVector.empty(dim)
-                vals = rows_to_csr([empty if v is None else v for v in raw], dim)
-            else:
-                fill = _null_fill(f.dtype)
-                vals = [fill if v is None else v for v in raw]
+            fill = _null_fill(f.dtype)
+            vals = [fill if v is None else v for v in raw]
             columns[f.name] = Column(f.dtype, vals, mask)
         return cls(schema, columns, row_count or 0)
 
@@ -269,7 +260,7 @@ class Table:
         if len(col) != self.row_count:
             raise DataError("new column length != row_count")
         fields = [f for f in self.schema.fields if f.name != name]
-        fields.append(Field(name, dtype, nullable=bool(col.mask.any())))
+        fields.append(Field(name, dtype, nullable=col.has_nulls))
         cols = {k: v for k, v in self._columns.items() if k != name}
         cols[name] = col
         return Table(Schema(fields), cols, self.row_count)

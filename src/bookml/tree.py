@@ -370,7 +370,7 @@ def route_rows(root, X):
 
 def predict_tree(root, x):
     """(label, class distribution) for one row of a classification tree."""
-    row = x.to_dense() if hasattr(x, "to_dense") else np.asarray(x, dtype=np.float64)
+    row = np.asarray(x, dtype=np.float64)
     leaves, slot = route_rows(root, row.reshape(1, -1))
     dist = leaves[slot[0]].prediction
     return int(np.argmax(dist)), dist

@@ -1,10 +1,10 @@
 """Input validation helpers shared by the estimators.
 
 Importing this module loads neither scipy nor ``bookml.vectors``. An input
-can be a sparse matrix only once ``scipy.sparse`` is loaded, and a
-FeatureVector only once ``bookml.vectors`` is, so the checks look them up in
-``sys.modules`` and a dense-only process never imports either.
-``stack_vectors`` stays an attribute of this module: it is imported from
+can be a sparse matrix only once ``scipy.sparse`` is loaded, so the checks
+look it up in ``sys.modules`` and a dense-only process never imports it.
+``stack_vectors`` (feature rows as ``Column.value_at`` returns them, to one
+matrix) stays an attribute of this module: it is imported from
 ``bookml.vectors`` on first access and bound here from then on.
 """
 
@@ -32,15 +32,9 @@ def _issparse(X):
 def as_feature_matrix(X):
     """Coerce estimator input into a 2-d float64 ndarray or CSR matrix.
 
-    Accepts ndarrays, CSR/CSC matrices, nested sequences, a list of
-    FeatureVectors, or a single FeatureVector (treated as one row).
+    Accepts ndarrays, sparse matrices and nested sequences; a 1-d input is
+    one row.
     """
-    vectors = sys.modules.get(f"{__package__}.vectors")
-    if vectors is not None:
-        if isinstance(X, vectors.FeatureVector):
-            return X.to_dense().reshape(1, -1)
-        if isinstance(X, (list, tuple)) and X and isinstance(X[0], vectors.FeatureVector):
-            return vectors.stack_vectors(X)
     if _issparse(X):
         out = X.tocsr()
         if out.dtype != np.float64:

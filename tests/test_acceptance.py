@@ -433,13 +433,14 @@ def test_criterion_11_persistence_bitwise(tmp_path):
     for i in range(n_probe):
         va = a.column("features").value_at(i)
         vb = b.column("features").value_at(i)
-        assert va.indices.tolist() == vb.indices.tolist()
-        assert va.values.tolist() == vb.values.tolist()
+        assert va["indices"] == vb["indices"]
+        assert va["values"] == vb["values"]
     feats = [a.column("features").value_at(i) for i in range(n_probe)]
     X = stack_vectors(feats)
 
     # tree-ensemble models
-    y = (np.asarray([v.to_dense()[0] for v in feats]) > 0.5).astype(int)
+    first = X[:, 0].toarray().ravel() if hasattr(X, "toarray") else X[:, 0]
+    y = (first > 0.5).astype(int)
     for model in (
         RandomForestClassifier(num_trees=8, max_depth=4, seed=3).fit(X, y),
         GradientBoostedTreesClassifier(num_iters=8).fit(X, y),

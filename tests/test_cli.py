@@ -3,11 +3,15 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bookml.cli import main
 from bookml.synth import generate_corpus
+
+# Checked-in artifacts; see data/README.md.
+FIXTURES = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -472,6 +476,178 @@ class TestRecommenderArtifactChecks:
                 j = data.draw(st.integers(0, len(rows[i]) - 1))
                 rows[i][j] = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
         assert self.run_both(run, artifact) == (3, 3)
+
+
+def _probes(mutate):
+    def apply(artifact):
+        mutate(artifact["probes"])
+    return apply
+
+
+# Malformed recommender probe blocks: verify-model must exit 3.
+RECOMMENDER_PROBE_MUTATIONS = {
+    "missing probes": lambda a: _drop_key(a, "probes"),
+    "probes not a dict": _set("probes", []),
+    "missing pairs": _probes(lambda p: _drop_key(p, "pairs")),
+    "empty pairs": _probes(_set("pairs", [])),
+    "pairs not a list": _probes(_set("pairs", {"user": "U000001"})),
+    "pair not a dict": _probes(lambda p: p["pairs"].__setitem__(0, "U000001")),
+    "numeric pair user": _probes(lambda p: p["pairs"][0].update(user=7)),
+    "missing pair item": _probes(lambda p: _drop_key(p["pairs"][0], "item")),
+    "string pair score": _probes(lambda p: p["pairs"][0].update(score="0.5")),
+    "null pair score": _probes(lambda p: p["pairs"][0].update(score=None)),
+    "bool pair score": _probes(lambda p: p["pairs"][0].update(score=True)),
+    "missing top_n": _probes(lambda p: _drop_key(p, "top_n")),
+    "empty top_n": _probes(_set("top_n", [])),
+    "string n": _probes(lambda p: p["top_n"][0].update(n="5")),
+    "bool n": _probes(lambda p: p["top_n"][0].update(n=True)),
+    "float n": _probes(lambda p: p["top_n"][0].update(n=5.0)),
+    "zero n": _probes(lambda p: p["top_n"][0].update(n=0)),
+    "numeric top_n user": _probes(lambda p: p["top_n"][0].update(user=1)),
+    "items not a list": _probes(lambda p: p["top_n"][0].update(items="Book")),
+    "numeric item in items": _probes(lambda p: p["top_n"][0]["items"].append(3)),
+}
+
+def _inputs(mutate):
+    return _probes(lambda p: mutate(p["inputs"]))
+
+
+def _no_probe_rows(probes):
+    for key in ("expected_features", "expected_labels", "expected_scores"):
+        probes[key] = []
+    for col in probes["inputs"].values():
+        col["values"] = []
+
+
+# Malformed classifier probe blocks: verify-model must exit 3.
+CLASSIFIER_PROBE_MUTATIONS = {
+    "missing probes": lambda a: _drop_key(a, "probes"),
+    "probes not a dict": _set("probes", "probes"),
+    "empty expected_features": _probes(_set("expected_features", [])),
+    "expected_features a row short": _probes(_drop_rows("expected_features", 1)),
+    "missing expected_features": _probes(lambda p: _drop_key(p, "expected_features")),
+    "empty expected_labels": _probes(_set("expected_labels", [])),
+    "expected_labels a row short": _probes(_drop_rows("expected_labels", 1)),
+    "expected_labels a row long": _probes(lambda p: p["expected_labels"].append(0)),
+    "expected_scores a row short": _probes(_drop_rows("expected_scores", 1)),
+    "expected_scores not a list": _probes(_set("expected_scores", 0.5)),
+    "missing inputs": _probes(lambda p: _drop_key(p, "inputs")),
+    "empty inputs": _probes(_set("inputs", {})),
+    "inputs not a dict": _probes(_set("inputs", [])),
+    "vector input": _inputs(lambda i: i["price"].update(dtype="vector")),
+    "tokens input": _inputs(lambda i: i["r_summary"].update(dtype="tokens")),
+    "unknown input dtype": _inputs(lambda i: i["price"].update(dtype="float32")),
+    "list input dtype": _inputs(lambda i: i["price"].update(dtype=["float64"])),
+    "input not a dict": _inputs(lambda i: i.update(price=[1.0])),
+    "missing input values": _inputs(lambda i: _drop_key(i["price"], "values")),
+    "ragged inputs": _inputs(lambda i: i["price"]["values"].pop()),
+    "string in int64 input": _inputs(lambda i: i["r_time"]["values"].__setitem__(0, "x")),
+    "float in int64 input": _inputs(lambda i: i["r_time"]["values"].__setitem__(0, 1.5)),
+    "bool in float64 input": _inputs(lambda i: i["price"]["values"].__setitem__(0, True)),
+    "int64 input out of range": _inputs(lambda i: i["r_time"]["values"].__setitem__(0, 2**70)),
+    "float64 input out of range": _inputs(
+        lambda i: i["price"]["values"].__setitem__(0, 10**400)),
+    "number in text input": _inputs(lambda i: i["r_summary"]["values"].__setitem__(0, 3)),
+    "empty input name": _inputs(lambda i: i.update({"": i.pop("r_review")})),
+    "no probe rows": _probes(_no_probe_rows),
+}
+
+
+class TestProbeBlockChecks:
+    @staticmethod
+    def verify(tmp_path, capsys, artifact):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(artifact), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["verify-model", "--path", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("name", sorted(CLASSIFIER_PROBE_MUTATIONS))
+    def test_malformed_classifier_probes_are_data_errors(self, tmp_path, capsys, name):
+        artifact = read_json(FIXTURES / "logistic_v1.model.json")
+        CLASSIFIER_PROBE_MUTATIONS[name](artifact)
+        code, err = self.verify(tmp_path, capsys, artifact)
+        assert code == 3 and err.startswith("error: ")
+
+    def test_null_expected_scores_verifies(self, tmp_path, capsys):
+        artifact = read_json(FIXTURES / "logistic_v1.model.json")
+        artifact["probes"]["expected_scores"] = None
+        assert self.verify(tmp_path, capsys, artifact)[0] == 0
+
+    @pytest.fixture(scope="class")
+    def als_artifact(self, prepared, tmp_path_factory):
+        run = tmp_path_factory.mktemp("als-probes")
+        (run / "prepared").symlink_to(prepared / "prepared", target_is_directory=True)
+        assert main(["train", "--out", str(run), "--model", "als", "--sweeps", "3",
+                     "--rank", "4", "--seed", "5"]) == 0
+        return read_json(run / "model.json")
+
+    @pytest.mark.parametrize("name", sorted(RECOMMENDER_PROBE_MUTATIONS))
+    def test_malformed_recommender_probes_are_data_errors(self, tmp_path, capsys,
+                                                          als_artifact, name):
+        artifact = copy.deepcopy(als_artifact)
+        RECOMMENDER_PROBE_MUTATIONS[name](artifact)
+        code, err = self.verify(tmp_path, capsys, artifact)
+        assert code == 3 and err.startswith("error: ")
+
+
+# tests/data/*_v1.model.json were written by the code before feature rows
+# became plain dicts, with this recipe; see tests/data/README.md.
+FIXTURE_SYNTH = ["--rows", "400", "--seed", "3"]
+FIXTURE_TRAIN = ["--tuning", "tvs", "--vocab-size", "32", "--seed", "3"]
+
+
+class TestCheckedInArtifacts:
+    @pytest.fixture(scope="class")
+    def recipe_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fixture-recipe")
+        assert main(["synth", "--out", str(root / "corpus"), *FIXTURE_SYNTH]) == 0
+        assert main(["prepare", "--ratings-csv", str(root / "corpus" / "Books_rating.csv"),
+                     "--books-csv", str(root / "corpus" / "books_data.csv"),
+                     "--out", str(root / "run"), "--seed", "3"]) == 0
+        return root / "run"
+
+    @pytest.mark.parametrize("model", ["logistic", "dtree"])
+    def test_fixture_verifies(self, tmp_path, model):
+        assert main(["verify-model", "--path", str(FIXTURES / f"{model}_v1.model.json"),
+                     "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("model", ["logistic", "dtree"])
+    def test_fresh_train_writes_fixture_probes(self, recipe_run, model):
+        assert main(["train", "--out", str(recipe_run), "--model", model, *FIXTURE_TRAIN]) == 0
+        fixture = read_json(FIXTURES / f"{model}_v1.model.json")
+        assert read_json(recipe_run / "model.json")["probes"] == fixture["probes"]
+
+
+class TestRequestPath:
+    def test_client_rows_score_like_the_feature_matrix(self, prepared, tmp_path):
+        # The benchmark's request client scores 32-row requests by stacking
+        # value_at rows with validation.stack_vectors.
+        from bookml import validation
+        from bookml.cli import feature_matrix
+        from bookml.persist import load_artifact, model_from_json
+        from bookml.pipeline import Pipeline
+        from bookml.table import load_table
+
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "prepared").symlink_to(prepared / "prepared", target_is_directory=True)
+        assert main(["train", "--out", str(run), "--model", "logistic",
+                     "--vocab-size", "64", "--seed", "5"]) == 0
+        artifact = load_artifact(run / "model.json")
+        pipe = Pipeline.from_json(artifact["pipeline"])
+        model = model_from_json(artifact["model"])
+        table = load_table(run / "prepared")
+        for start in range(0, min(table.row_count, 128), 32):
+            out = pipe.transform(table.take(np.arange(start, min(start + 32, table.row_count))))
+            col = out.column("features")
+            X = validation.stack_vectors([col.value_at(i) for i in range(out.row_count)])
+            want = feature_matrix(out)
+            assert type(X) is type(want)
+            np.testing.assert_array_equal(model.decision_function(X),
+                                          model.decision_function(want))
 
 
 class TestConfigFile:

@@ -12,7 +12,7 @@ from bookml.synth import generate_corpus
 PUBLIC_NAMES = [
     "ALSExplicit", "ALSImplicit", "AssembleColumns", "BaseEstimator", "BlockImportances",
     "BlockMap", "BookmlError", "ConfigError", "CountTokens", "DataError",
-    "DecisionTreeClassifier", "FeatureVector", "Field", "FilterStopwords",
+    "DecisionTreeClassifier", "Field", "FilterStopwords",
     "GradientBoostedTreesClassifier", "IngestOptions", "InteractionSet", "LinearSVC",
     "LogisticRegressionClassifier", "MetricsReport", "MinMaxState", "NotFittedError",
     "NumericError", "Pipeline", "RandomForestClassifier", "ScaleMinMax", "Schema", "Stage",

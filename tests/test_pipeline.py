@@ -8,7 +8,6 @@ from scipy import sparse as sp
 
 from bookml import (
     DataError,
-    FeatureVector,
     Pipeline,
     Table,
     idf_weights,
@@ -43,8 +42,7 @@ def test_text_chain_on_two_docs(two_doc_table):
     assert out.row_count == 2
     vec = out.column("tfidf").value_at(0)
     # doc "a b a": a has tf 2 and df 1 -> 2*ln(1.5); b appears in both docs -> 0
-    assert vec.dim == 3
-    assert vec.items() == [(0, pytest.approx(2 * math.log(1.5)))]
+    assert vec == {"dim": 3, "indices": [0], "values": [pytest.approx(2 * math.log(1.5))]}
 
 
 def test_transform_is_pure(two_doc_table):
@@ -91,7 +89,7 @@ def test_assemble_stage_and_block_map(ratings_fixture):
     assert assembler.block_map_.names() == ["price_norm", "time_norm", "counts"]
     assert assembler.block_map_.dim == 2 + 8
     vec = out.column("features").value_at(0)
-    assert vec.dim == 10
+    assert vec["dim"] == 10
     assert out.row_count == ratings_fixture.row_count
 
 
@@ -122,9 +120,9 @@ def test_json_roundtrip_bit_exact(ratings_fixture):
     for i in range(out.row_count):
         got = out.column("features").value_at(i)
         want = expected.column("features").value_at(i)
-        assert got.dim == want.dim
-        assert got.indices.tolist() == want.indices.tolist()
-        assert got.values.tolist() == want.values.tolist()
+        assert got["dim"] == want["dim"]
+        assert got["indices"] == want["indices"]
+        assert got["values"] == want["values"]
     # re-serialization reaches a fixed point
     doc2 = json.dumps(clone.to_json())
     assert json.dumps(Pipeline.from_json(json.loads(doc2)).to_json()) == doc2
@@ -151,12 +149,57 @@ def test_assembler_output_is_canonical():
     assert features.data.tolist() == [1.0, 3.0]
 
 
+@st.composite
+def assembler_tables(draw):
+    """A table of scalar and raw CSR columns (zeros, -0.0, empty rows, width
+    0, explicit zeros, unsorted indices) and the names to assemble."""
+    n = draw(st.integers(1, 5))
+    cell = st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.25])
+    table = Table.build([("row", "int64", False)], {"row": list(range(n))})
+    names = []
+    for k, dtype in enumerate(draw(st.lists(st.sampled_from(["float64", "int64", "vector"]),
+                                            min_size=1, max_size=4))):
+        if dtype == "vector":
+            dim = draw(st.integers(0, 4))
+            rows = [draw(st.permutations(range(dim)))[:draw(st.integers(0, dim))] for _ in range(n)]
+            indices = np.array([c for r in rows for c in r], dtype=np.int64)
+            data = np.array(draw(st.lists(cell, min_size=indices.size, max_size=indices.size)))
+            indptr = np.cumsum([0] + [len(r) for r in rows])
+            values = sp.csr_matrix((data, indices, indptr), shape=(n, dim))
+        elif dtype == "int64":
+            values = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        else:
+            values = draw(st.lists(cell, min_size=n, max_size=n))
+        table = table.with_column(f"c{k}", dtype, values)
+        names.append(f"c{k}")
+    return table, names
+
+
+@settings(max_examples=200, deadline=None)
+@given(assembler_tables())
+def test_assembler_matches_hstack_layout(case):
+    # The assembler writes the CSR arrays itself; they must be those of
+    # sp.hstack over the blocks, canonicalised, down to the dtypes.
+    table, names = case
+    got = AssembleColumns(names, "f").fit_transform(table).column("f").values
+    parts = [col.values if col.dtype == "vector"
+             else sp.csr_matrix(np.asarray(col.values, dtype=np.float64).reshape(-1, 1))
+             for col in map(table.column, names)]
+    want = sp.hstack(parts, format="csr")
+    want.eliminate_zeros()
+    want.sort_indices()
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 REFERENCE_WORDS = ["alpha", "Beta", "beta", "gamma", "delta", "the"]
 REFERENCE_STOP = frozenset({"the"})
 
 
 def reference_features(fit_texts, texts, fit_prices, prices, terms):
-    """Per-row FeatureVectors of [price_norm | counts | tfidf] from plain dicts."""
+    """Per-row [price_norm | counts | tfidf] from plain dicts, in Column.value_at's row form."""
     def tokens(text):
         return [] if text is None else [t for t in text.lower().split() if t not in REFERENCE_STOP]
 
@@ -179,7 +222,7 @@ def reference_features(fit_texts, texts, fit_prices, prices, terms):
             entries[1 + j] = float(c)
             entries[1 + len(terms) + j] = c * idf[j]
         keep = sorted(j for j, v in entries.items() if v != 0.0)
-        rows.append(FeatureVector.sparse(dim, keep, [entries[j] for j in keep]))
+        rows.append({"dim": dim, "indices": keep, "values": [float(entries[j]) for j in keep]})
     return rows
 
 
@@ -227,4 +270,4 @@ def test_columnwise_stages_match_per_row_reference(docs, prices, vocab_size):
         got = [table.column("features").value_at(i) for i in range(table.row_count)]
         assert got == want
     # null text at the fitted minimum price: the row stores nothing
-    assert out.column("features").value_at(len(fit_texts)).nnz == 0
+    assert out.column("features").value_at(len(fit_texts))["indices"] == []

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from bookml import (
     ConfigError,
     DataError,
-    FeatureVector,
     Field,
     IngestOptions,
     Schema,
@@ -249,9 +250,8 @@ class TestTableCore:
         t = Table.build([("x", "int64", True)], {"x": [1, 2]})
         with pytest.raises(ValueError):
             t.column("x").values[0] = 99
-        v = Table.build(
-            [("v", "vector", True)], {"v": [FeatureVector(3, [0, 2], [1.0, 2.0]), None]}
-        )
+        rows = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
+        v = t.with_column("v", "vector", rows, mask=[False, True])
         for t in (v, v.take([1, 0])):
             X = t.column("v").values
             for arr in (X.data, X.indices, X.indptr):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from scipy import sparse as sp
+
 from bookml import (
     DataError,
-    FeatureVector,
     Vocabulary,
     fit_count_vectorizer,
     idf_weights,
@@ -14,18 +15,23 @@ from bookml import (
     tokenize,
 )
 from bookml.stopword_list import ENGLISH_STOPWORDS
+from bookml.table import Column
 from bookml.text import count_matrix, tfidf_matrix
-from bookml.vectors import rows_to_csr
+
+
+def first_row(X):
+    """Row 0 of a CSR matrix as Column.value_at reads it back."""
+    return Column("vector", X, np.zeros(X.shape[0], dtype=bool)).value_at(0)
 
 
 def transform_counts(vocab, tokens):
     """Counts of one doc, read back as row 0 of the column-wise count matrix."""
-    return FeatureVector.from_csr_row(count_matrix(vocab.index(), [tokens]), 0)
+    return first_row(count_matrix(vocab.index(), [tokens]))
 
 
 def transform_tfidf(counts, weights):
-    """tf-idf of one count vector through the column-wise tfidf_matrix."""
-    return FeatureVector.from_csr_row(tfidf_matrix(rows_to_csr([counts], counts.dim), weights), 0)
+    """tf-idf of one dense count row through the column-wise tfidf_matrix."""
+    return first_row(tfidf_matrix(sp.csr_matrix(np.reshape(counts, (1, -1))), weights))
 
 
 class TestTokenize:
@@ -84,16 +90,15 @@ class TestCountVectorizer:
     def test_transform_counts(self):
         v = fit_count_vectorizer(self.DOCS, 10, 1)
         out = transform_counts(v, ["a", "b", "a"])
-        assert out.dim == 3
-        assert out.items() == [(0, 2.0), (1, 1.0)]
+        assert out == {"dim": 3, "indices": [0, 1], "values": [2.0, 1.0]}
 
     def test_transform_empty_tokens(self):
         v = fit_count_vectorizer(self.DOCS, 10, 1)
-        assert transform_counts(v, []).nnz == 0
+        assert transform_counts(v, [])["indices"] == []
 
     def test_oov_ignored(self):
         v = fit_count_vectorizer(self.DOCS, 10, 1)
-        assert transform_counts(v, ["z"]).nnz == 0
+        assert transform_counts(v, ["z"])["indices"] == []
 
 
 class TestIdf:
@@ -119,23 +124,21 @@ class TestIdf:
 
 class TestTfidf:
     def test_hand_value(self):
-        counts = FeatureVector.sparse(2, [0], [2.0])
-        out = transform_tfidf(counts, np.array([math.log(1.5), 0.0]))
-        assert out.items()[0][0] == 0
-        assert out.items()[0][1] == pytest.approx(0.81093, abs=1e-5)
+        out = transform_tfidf([2.0, 0.0], np.array([math.log(1.5), 0.0]))
+        assert out["indices"] == [0]
+        assert out["values"][0] == pytest.approx(0.81093, abs=1e-5)
 
     def test_all_zero_counts(self):
-        out = transform_tfidf(FeatureVector.empty(3), np.zeros(3))
-        assert out.nnz == 0
+        out = transform_tfidf([0.0, 0.0, 0.0], np.zeros(3))
+        assert out["indices"] == []
 
     def test_zero_weight_drops_entry(self):
-        counts = FeatureVector.sparse(2, [0, 1], [1.0, 1.0])
-        out = transform_tfidf(counts, np.array([0.0, 2.0]))
-        assert out.items() == [(1, 2.0)]
+        out = transform_tfidf([1.0, 1.0], np.array([0.0, 2.0]))
+        assert out == {"dim": 2, "indices": [1], "values": [2.0]}
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
-            transform_tfidf(FeatureVector.empty(3), np.zeros(2))
+            transform_tfidf([0.0, 0.0, 0.0], np.zeros(2))
 
 
 def test_vocabulary_invariants():

@@ -1,79 +1,74 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy import sparse as sp
 
-from bookml import BlockMap, DataError, FeatureVector, Table, stack_vectors
+from bookml import BlockMap, DataError, Table, stack_vectors
 from bookml.pipeline import AssembleColumns
-from bookml.vectors import Block
+from bookml.table import Column
+from bookml.vectors import DENSE_OCCUPANCY, Block, dense_if_full
 
 
-def assemble(parts, block_map=None):
-    """One row of scalars (None for null) and FeatureVectors through AssembleColumns."""
+def sparse_row(dim, indices, values):
+    """A 1-row CSR part."""
+    return sp.csr_matrix((values, indices, [0, len(indices)]), shape=(1, dim))
+
+
+def vector_column(X):
+    return Column("vector", X, np.zeros(X.shape[0], dtype=bool))
+
+
+def assemble_matrix(parts, block_map=None):
+    """One row of scalars (None for null) and 1-row CSR parts through AssembleColumns."""
+    table = Table.build([("row", "int64", False)], {"row": [0]})
     names = [f"p{i}" for i in range(len(parts))]
-    schema = [
-        (name, "vector" if isinstance(part, FeatureVector) else "float64", True)
-        for name, part in zip(names, parts)
-    ]
-    table = Table.build(schema, {name: [part] for name, part in zip(names, parts)})
+    for name, part in zip(names, parts):
+        if sp.issparse(part):
+            table = table.with_column(name, "vector", part)
+        else:
+            table = table.with_column(name, "float64", [part or 0.0], mask=[part is None])
     stage = AssembleColumns(names, "features")
     if block_map is None:
         stage.fit(table)
     else:
         stage.block_map_ = block_map
-    return stage.transform(table).column("features").value_at(0)
+    return stage.transform(table).column("features").values
 
 
-def test_sparse_indices_sorted_and_deduped():
-    v = FeatureVector.sparse(5, [3, 1], [1.0, 2.0])
-    assert v.items() == [(1, 2.0), (3, 1.0)]
-    with pytest.raises(DataError):
-        FeatureVector.sparse(5, [1, 1], [1.0, 2.0])
-    with pytest.raises(DataError):
-        FeatureVector.sparse(2, [2], [1.0])
-
-
-def test_explicit_zeros_dropped():
-    v = FeatureVector.sparse(4, [0, 2], [0.0, 3.0])
-    assert v.items() == [(2, 3.0)]
-    assert v.nnz == 1
-
-
-def test_dense_roundtrip():
-    v = FeatureVector.dense([1.0, 0.0, 2.5])
-    assert not v.is_sparse
-    assert v.items() == [(0, 1.0), (2, 2.5)]
-    np.testing.assert_array_equal(v.to_dense(), [1.0, 0.0, 2.5])
+def assemble(parts, block_map=None):
+    """The assembled row as Column.value_at reads it back."""
+    return vector_column(assemble_matrix(parts, block_map)).value_at(0)
 
 
 def test_assemble_scalar_then_sparse():
-    out = assemble([0.5, FeatureVector.sparse(3, [1], [2.0])])
-    assert out.dim == 4
-    assert out.items() == [(0, 0.5), (2, 2.0)]
+    out = assemble([0.5, sparse_row(3, [1], [2.0])])
+    assert out == {"dim": 4, "indices": [0, 2], "values": [0.5, 2.0]}
 
 
 def test_assemble_single_part_identity():
-    part = FeatureVector.sparse(3, [0, 2], [1.0, 4.0])
-    assert assemble([part]) == part
+    part = sparse_row(3, [0, 2], [1.0, 4.0])
+    assert assemble([part]) == vector_column(part).value_at(0)
 
 
 def test_assemble_two_empty_parts():
-    out = assemble([FeatureVector.empty(2), FeatureVector.empty(3)])
-    assert out.dim == 5
-    assert out.nnz == 0
+    out = assemble([sparse_row(2, [], []), sparse_row(3, [], [])])
+    assert out == {"dim": 5, "indices": [], "values": []}
 
 
 def test_assemble_rejects_null_scalar():
     with pytest.raises(DataError):
-        assemble([None, FeatureVector.empty(2)])
+        assemble([None, sparse_row(2, [], [])])
     with pytest.raises(DataError):
         assemble([float("nan")])
 
 
 def test_assemble_enforces_block_map():
     bm = BlockMap([Block("a", 0, 1), Block("b", 1, 3)])
-    assemble([1.0, FeatureVector.empty(3)], bm)
+    assemble([1.0, sparse_row(3, [], [])], bm)
     with pytest.raises(DataError):
-        assemble([1.0, FeatureVector.empty(2)], bm)
+        assemble([1.0, sparse_row(2, [], [])], bm)
 
 
 @given(
@@ -84,15 +79,15 @@ def test_assemble_enforces_block_map():
     )
 )
 def test_assemble_slice_inverts(dense_parts):
-    parts = [FeatureVector.dense(p) if p else FeatureVector.empty(0) for p in dense_parts]
+    parts = [sp.csr_matrix(np.reshape(p, (1, len(p)))) for p in dense_parts]
     bm = BlockMap.from_parts(
-        [f"p{i}" for i in range(len(parts))], [p.dim for p in parts]
+        [f"p{i}" for i in range(len(parts))], [p.shape[1] for p in parts]
     )
-    out = assemble(parts, bm)
+    X = assemble_matrix(parts, bm)
     for part, block in zip(parts, bm.blocks):
-        recovered = out.slice(block.offset, block.length)
-        assert recovered.items() == part.items()
-        assert recovered.dim == part.dim
+        recovered = X[:, block.offset : block.offset + block.length]
+        assert recovered.shape == part.shape
+        np.testing.assert_array_equal(recovered.toarray(), part.toarray())
 
 
 def test_block_map_json_roundtrip():
@@ -101,10 +96,46 @@ def test_block_map_json_roundtrip():
 
 
 def test_stack_vectors_sparse_and_dense():
-    vs = [FeatureVector.sparse(4, [1], [2.0]), FeatureVector.empty(4)]
-    X = stack_vectors(vs)
+    rows = [{"dim": 4, "indices": [1], "values": [2.0]},
+            {"dim": 4, "indices": [], "values": []}]
+    X = stack_vectors(rows)
     assert X.shape == (2, 4)
     dense = X.toarray() if hasattr(X, "toarray") else X
     np.testing.assert_array_equal(dense, [[0, 2.0, 0, 0], [0, 0, 0, 0]])
     with pytest.raises(DataError):
-        stack_vectors([FeatureVector.empty(2), FeatureVector.empty(3)])
+        stack_vectors([{"dim": 2, "indices": [], "values": []},
+                       {"dim": 3, "indices": [], "values": []}])
+    with pytest.raises(DataError):
+        stack_vectors([])
+
+
+@st.composite
+def feature_matrices(draw):
+    """Random canonical CSR matrices: empty rows, dim 0, and occupancy on
+    both sides of DENSE_OCCUPANCY."""
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(0, 8))
+    occupancy = draw(st.sampled_from([0.0, DENSE_OCCUPANCY / 2, DENSE_OCCUPANCY, 1.0]))
+    keep = draw(st.lists(st.floats(0, 1), min_size=n * dim, max_size=n * dim))
+    cells = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+                          .filter(bool), min_size=n * dim, max_size=n * dim))
+    dense = np.reshape([c if k < occupancy else 0.0 for c, k in zip(cells, keep)], (n, dim))
+    return sp.csr_matrix(dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feature_matrices())
+def test_rows_stack_back_to_the_training_matrix(X):
+    col = vector_column(X)
+    rows = [col.value_at(i) for i in range(len(col))]
+    for row in rows:
+        assert json.loads(json.dumps(row)) == row
+    got, want = stack_vectors(rows), dense_if_full(col.values)
+    assert type(got) is type(want)
+    assert got.shape == want.shape
+    if sp.issparse(want):
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    else:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
