@@ -65,7 +65,7 @@ _MODULE_EXPORTS = {
         "write_csv",
     ),
     "text": ("Vocabulary", "fit_count_vectorizer", "idf_weights", "remove_stopwords", "tokenize"),
-    "tree": ("DecisionTreeClassifier", "TreeNode", "best_split", "gini", "predict_tree"),
+    "tree": ("DecisionTreeClassifier", "best_split", "gini"),
     "vectors": ("BlockMap", "stack_vectors"),
 }
 

@@ -704,6 +704,8 @@ def _probe_table(probes):
 def _verify_classifier(artifact, probes):
     from .pipeline import Pipeline
 
+    if not isinstance(artifact.get("pipeline"), dict):
+        raise DataError("classifier artifact needs a pipeline object")
     pipe = Pipeline.from_json(artifact["pipeline"])
     model = _artifact_model(artifact, CLASSIFIER_MODELS)
     table = _probe_table(probes)

@@ -15,14 +15,16 @@ from .base import BaseEstimator, check_is_fitted
 from .errors import DataError, NumericError
 from .tree import (
     FeatureBins,
-    TreeNode,
+    Tree,
+    is_finite_number,
     accumulate_importances,
     densify,
     grow_tree,
-    route_rows,
+    model_from_doc,
+    num_classes_from_doc,
     tree_predict_matrix,
 )
-from .validation import as_label_array, check_labels_in_range
+from .validation import as_label_array, check_labels_in_range, check_matching_dim
 
 
 class RandomForestClassifier(BaseEstimator):
@@ -81,35 +83,25 @@ class RandomForestClassifier(BaseEstimator):
                     feature_picker=picker,
                     bins=bins,
                     rows=rows,
-                )
+                )[0]
             )
         self.trees_ = trees
         self.num_classes_ = k
         self.dim_ = d
         return self
 
-    def tree_roots(self):
-        check_is_fitted(self, "trees_")
-        return list(self.trees_)
-
     def predict(self, X):
         check_is_fitted(self, "trees_")
         X = densify(X)
+        check_matching_dim(self.dim_, X)
         votes = np.zeros((X.shape[0], self.num_classes_), dtype=np.int64)
-        for root in self.trees_:
-            labels = np.argmax(tree_predict_matrix(root, X), axis=1)
+        for tree in self.trees_:
+            labels = np.argmax(tree_predict_matrix(tree, X), axis=1)
             votes[np.arange(X.shape[0]), labels] += 1
         return np.argmax(votes, axis=1)
 
     def predict_one(self, x):
         return int(self.predict(x)[0])
-
-    def feature_importances(self):
-        check_is_fitted(self, "trees_")
-        raw = np.zeros(self.dim_)
-        for root in self.trees_:
-            accumulate_importances(root, raw)
-        return raw
 
     def to_json(self):
         check_is_fitted(self, "trees_")
@@ -123,11 +115,17 @@ class RandomForestClassifier(BaseEstimator):
 
     @classmethod
     def from_json(cls, doc):
-        model = cls(**doc["params"])
-        model.num_classes_ = doc["num_classes"]
-        model.dim_ = doc["dim"]
-        model.trees_ = [TreeNode.from_json(t) for t in doc["trees"]]
+        model = model_from_doc(cls, doc, "num_classes", "trees")
+        model.num_classes_ = num_classes_from_doc(doc)
+        model.trees_ = _trees_from_json(doc["trees"], model.dim_, model.num_classes_)
         return model
+
+
+def _trees_from_json(docs, dim, num_classes=None):
+    """The trees of a non-empty list of nested tree documents; see Tree.from_json."""
+    if not isinstance(docs, list) or not docs:
+        raise DataError("trees must be a non-empty list of tree documents")
+    return [Tree.from_json(doc, dim, num_classes, f"trees[{t}]") for t, doc in enumerate(docs)]
 
 
 def _sigmoid(z):
@@ -180,7 +178,7 @@ class GradientBoostedTreesClassifier(BaseEstimator):
         for _ in range(self.num_iters):
             prob = _sigmoid(scores)
             resid = yf - prob
-            root = grow_tree(
+            tree, leaf = grow_tree(
                 X, resid,
                 max_depth=self.max_depth,
                 min_instances_per_node=self.min_instances_per_node,
@@ -188,19 +186,18 @@ class GradientBoostedTreesClassifier(BaseEstimator):
                 criterion="variance",
                 bins=bins,
             )
-            # One Newton step per leaf: sum of residuals over sum of
-            # q(1 - q), both added in row order; 0 where the hessian vanishes.
-            leaves, slot = route_rows(root, X)
-            num = np.bincount(slot, weights=resid, minlength=len(leaves))
-            den = np.bincount(slot, weights=prob * (1.0 - prob), minlength=len(leaves))
-            values = np.zeros(len(leaves))
-            np.divide(num, den, out=values, where=den > 1e-12)
-            for leaf, value in zip(leaves, values):
-                leaf.prediction = float(value)
-            scores = scores + self.learning_rate * values[slot]
+            # One Newton step per leaf, over the rows the grower sent there:
+            # sum of residuals over sum of q(1 - q), both added in row order;
+            # 0 where the hessian vanishes, and at every split node.
+            nodes = tree.value.shape[0]
+            num = np.bincount(leaf, weights=resid, minlength=nodes)
+            den = np.bincount(leaf, weights=prob * (1.0 - prob), minlength=nodes)
+            tree.value = np.zeros(nodes)
+            np.divide(num, den, out=tree.value, where=den > 1e-12)
+            scores = scores + self.learning_rate * tree.value[leaf]
             if not np.all(np.isfinite(scores)):
                 raise NumericError("boosting scores diverged; lower learning_rate")
-            trees.append(root)
+            trees.append(tree)
             losses.append(_log_loss(yf, _sigmoid(scores)))
         self.trees_ = trees
         self.dim_ = X.shape[1]
@@ -208,16 +205,13 @@ class GradientBoostedTreesClassifier(BaseEstimator):
         self.train_loss_ = np.asarray(losses)
         return self
 
-    def tree_roots(self):
-        check_is_fitted(self, "trees_")
-        return list(self.trees_)
-
     def decision_function(self, X):
         check_is_fitted(self, "trees_")
         X = densify(X)
+        check_matching_dim(self.dim_, X)
         scores = np.full(X.shape[0], self.initial_score_)
-        for root in self.trees_:
-            scores = scores + self.learning_rate * tree_predict_matrix(root, X)
+        for tree in self.trees_:
+            scores = scores + self.learning_rate * tree_predict_matrix(tree, X)
         return scores
 
     def predict_proba(self, X):
@@ -231,13 +225,6 @@ class GradientBoostedTreesClassifier(BaseEstimator):
         score = float(self.decision_function(x)[0])
         return (1 if score > 0 else 0), float(_sigmoid(np.asarray(score)))
 
-    def feature_importances(self):
-        check_is_fitted(self, "trees_")
-        raw = np.zeros(self.dim_)
-        for root in self.trees_:
-            accumulate_importances(root, raw)
-        return raw
-
     def to_json(self):
         check_is_fitted(self, "trees_")
         return {
@@ -250,11 +237,12 @@ class GradientBoostedTreesClassifier(BaseEstimator):
 
     @classmethod
     def from_json(cls, doc):
-        model = cls(**doc["params"])
-        model.dim_ = doc["dim"]
+        model = model_from_doc(cls, doc, "initial_score", "trees")
+        if not (is_finite_number(doc["initial_score"]) and is_finite_number(model.learning_rate)):
+            raise DataError("gbt model needs a finite initial_score and learning_rate")
         model.num_classes_ = 2
         model.initial_score_ = doc["initial_score"]
-        model.trees_ = [TreeNode.from_json(t) for t in doc["trees"]]
+        model.trees_ = _trees_from_json(doc["trees"], model.dim_)
         model.train_loss_ = None
         return model
 
@@ -281,13 +269,13 @@ def block_importances(model, block_map):
     over each block's span, normalized to total 1. A model with no
     effective splits yields all-zero values flagged degenerate.
     """
-    roots = model.tree_roots()
+    check_is_fitted(model, "dim_")
     dim = model.dim_
     if block_map.dim != dim:
         raise DataError(f"block map covers {block_map.dim} features, model has {dim}")
     raw = np.zeros(dim)
-    for root in roots:
-        accumulate_importances(root, raw)
+    for tree in model.trees_ if hasattr(model, "trees_") else [model.tree_]:
+        accumulate_importances(tree, raw)
     per_block = np.array(
         [raw[b.offset : b.offset + b.length].sum() for b in block_map.blocks]
     )

@@ -371,13 +371,31 @@ class Pipeline(BaseEstimator):
 
     @classmethod
     def from_json(cls, doc):
-        if doc.get("format_version") != PIPELINE_FORMAT_VERSION:
-            raise DataError(f"unsupported pipeline format {doc.get('format_version')!r}")
+        """Rebuild a fitted pipeline from ``to_json``'s document.
+
+        stages must be a list of objects, each with a known string type,
+        params naming exactly that stage's parameters, and a state object;
+        any violation raises DataError.
+        """
+        version = doc.get("format_version") if isinstance(doc, dict) else None
+        if version != PIPELINE_FORMAT_VERSION:
+            raise DataError(f"unsupported pipeline format {version!r}")
+        frags = doc.get("stages")
+        if not isinstance(frags, list) or not all(
+                isinstance(frag, dict) and isinstance(frag.get("type"), str)
+                and isinstance(frag.get("params"), dict) and isinstance(frag.get("state"), dict)
+                for frag in frags):
+            raise DataError("pipeline stages must be a list of objects, each with a "
+                            "string type, a params object and a state object")
         stages = []
-        for frag in doc["stages"]:
+        for frag in frags:
             stage_cls = STAGE_TYPES.get(frag["type"])
             if stage_cls is None:
                 raise DataError(f"unknown stage type {frag['type']!r}")
+            names = sorted(stage_cls._param_names())
+            if sorted(frag["params"]) != names:
+                raise DataError(f"{frag['type']} stage params must be exactly {names}, "
+                                f"got {sorted(frag['params'])}")
             stage = stage_cls(**frag["params"])
             stage.load_state(frag["state"])
             stages.append(stage)

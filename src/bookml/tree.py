@@ -12,69 +12,161 @@ gets the root's equal-frequency cuts (candidate_thresholds) and keeps them
 at every node. A node scores every candidate from histograms of the bin
 codes of its rows, as LightGBM does: one bincount gives per-bin class
 counts (gini) or target sums (variance), and cumulative sums over the bins
-give both children of every candidate at once. Prediction sends rows down
-a tree one node at a time (route_rows).
+give both children of every candidate at once.
+
+A tree is a set of flat arrays over its nodes in depth-first preorder
+(Tree). Prediction routes every row together, a level at a time: apply
+gives each row's leaf node, whose value is the prediction.
 """
+
+import math
+import sys
 
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import DataError
-from .validation import as_feature_matrix, as_label_array, check_labels_in_range
+from .validation import (
+    as_feature_matrix,
+    as_label_array,
+    check_labels_in_range,
+    check_matching_dim,
+)
 
 # Positive-gain test allows for float noise in impurity bookkeeping.
 MIN_GAIN = 1e-12
 
 
-class TreeNode:
-    """Internal split node or leaf; leaves hold a class distribution or score."""
+class Tree:
+    """A binary tree as parallel arrays over its nodes, in depth-first preorder.
 
-    __slots__ = ("feature", "threshold", "left", "right", "gain", "n_samples", "prediction")
+    Node i splits iff feature[i] >= 0: a row goes to the left child i + 1
+    iff its value of that feature is <= threshold[i], else to right[i].
+    gain[i] is the split's impurity decrease and n_samples[i] the count of
+    training rows that reached node i. value[i] is a leaf's prediction: a
+    row of a (nodes, K) class-distribution matrix, or a (nodes,) score; a
+    split node's entries are 0. depth is the longest root-to-leaf path.
 
-    def __init__(self, n_samples, feature=None, threshold=None, left=None,
-                 right=None, gain=None, prediction=None):
-        self.n_samples = int(n_samples)
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.gain = gain
-        self.prediction = prediction
+    A leaf has feature -1, gain 0, threshold -inf and right[i] = i (set
+    here, whatever the caller passes), so a finite row at a leaf stays
+    there: apply moves every row depth times without asking where it is.
+    """
 
-    @property
-    def is_leaf(self):
-        return self.feature is None
+    __slots__ = ("feature", "threshold", "gain", "n_samples", "right", "value", "depth")
+
+    def __init__(self, feature, threshold, gain, n_samples, right, value):
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.gain = np.array(gain, dtype=np.float64)
+        self.n_samples = np.array(n_samples, dtype=np.int64)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value, dtype=np.float64)
+        leaves = np.flatnonzero(self.feature < 0)
+        self.threshold[leaves] = -np.inf
+        self.right[leaves] = leaves
+        depth = np.zeros(self.feature.shape[0], dtype=np.intp)
+        for i in np.flatnonzero(self.feature >= 0):
+            depth[i + 1] = depth[self.right[i]] = depth[i] + 1
+        self.depth = int(depth.max())
 
     def to_json(self):
-        if self.is_leaf:
-            pred = self.prediction
-            if isinstance(pred, np.ndarray):
-                pred = pred.tolist()
-            return {"n": self.n_samples, "prediction": pred}
-        return {
-            "n": self.n_samples,
-            "feature": int(self.feature),
-            "threshold": float(self.threshold),
-            "gain": float(self.gain),
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
+        """The nested v1 document, built from the last node back to the root."""
+        feature, threshold, gain = self.feature.tolist(), self.threshold.tolist(), self.gain.tolist()
+        n_samples, right, value = self.n_samples.tolist(), self.right.tolist(), self.value.tolist()
+        docs = [None] * len(feature)
+        for i in reversed(range(len(feature))):
+            if feature[i] < 0:
+                docs[i] = {"n": n_samples[i], "prediction": value[i]}
+            else:
+                docs[i] = {"n": n_samples[i], "feature": feature[i], "threshold": threshold[i],
+                           "gain": gain[i], "left": docs[i + 1], "right": docs[right[i]]}
+        return docs[0]
 
     @classmethod
-    def from_json(cls, doc):
-        if "feature" not in doc:
-            pred = doc["prediction"]
-            if isinstance(pred, list):
-                pred = np.asarray(pred, dtype=np.float64)
-            return cls(doc["n"], prediction=pred)
-        return cls(
-            doc["n"],
-            feature=doc["feature"],
-            threshold=doc["threshold"],
-            gain=doc["gain"],
-            left=cls.from_json(doc["left"]),
-            right=cls.from_json(doc["right"]),
-        )
+    def from_json(cls, doc, dim, num_classes=None, name="tree"):
+        """The tree of a nested v1 document, checked node by node as it is read.
+
+        Every node needs an int n >= 1. A node with a feature key splits:
+        an int feature in [0, dim), a finite threshold and gain, and both
+        children. A leaf's prediction is a finite list of num_classes
+        probabilities, or a finite score when num_classes is None. Any
+        violation raises DataError naming the node.
+        """
+        empty = 0.0 if num_classes is None else [0.0] * num_classes
+        nodes, right = [], []  # (feature, threshold, gain, n, value) per node; right child
+        stack = [(doc, -1)]
+        while stack:
+            node, parent = stack.pop()
+            i = len(nodes)
+            if parent >= 0:
+                right[parent] = i
+            right.append(-1)
+            if not isinstance(node, dict) or not _is_count(node.get("n")):
+                raise DataError(f"{name} node {i} needs an int n >= 1")
+            if "feature" in node:
+                f, thr, gain = node["feature"], node.get("threshold"), node.get("gain")
+                if not (_is_int(f) and 0 <= f < dim and is_finite_number(thr)
+                        and is_finite_number(gain) and "left" in node and "right" in node):
+                    raise DataError(f"{name} split node {i} needs an int feature in [0, {dim}), "
+                                    "a finite threshold and gain, and both children")
+                nodes.append((f, thr, gain, node["n"], empty))
+                stack += [(node["right"], i), (node["left"], -1)]
+                continue
+            pred = node.get("prediction")
+            if num_classes is None:
+                ok = is_finite_number(pred)
+            else:
+                ok = (isinstance(pred, list) and len(pred) == num_classes
+                      and all(is_finite_number(p) for p in pred))
+            if not ok:
+                want = "a finite score" if num_classes is None else (
+                    f"a finite list of {num_classes} class probabilities")
+                raise DataError(f"{name} leaf {i} needs {want} as its prediction")
+            nodes.append((-1, 0.0, 0.0, node["n"], pred))
+        feature, threshold, gain, n_samples, value = zip(*nodes)
+        return cls(feature, threshold, gain, n_samples, right, value)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value):
+    """An int in [1, 2**63): a node's row count or a model's dimension."""
+    return _is_int(value) and 1 <= value < 2**63
+
+
+def is_finite_number(value):
+    """A JSON number that is a finite float64."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value) and abs(value) <= sys.float_info.max
+
+
+def model_from_doc(cls, doc, *keys):
+    """An unfitted cls built from a tree model document's params, with dim_ set.
+
+    The document must be an object holding params, dim and keys; params
+    must name exactly cls's parameters, and dim must be an int >= 1.
+    """
+    if not isinstance(doc, dict) or any(key not in doc for key in ("params", "dim", *keys)):
+        raise DataError(f"{cls.__name__} document needs keys {['params', 'dim', *keys]}")
+    params, names = doc["params"], cls._param_names()
+    if not isinstance(params, dict) or sorted(params) != sorted(names):
+        got = sorted(params) if isinstance(params, dict) else type(params).__name__
+        raise DataError(f"{cls.__name__} params must be exactly {sorted(names)}, got {got}")
+    if not _is_count(doc["dim"]):
+        raise DataError(f"{cls.__name__} dim must be an int >= 1, got {doc['dim']!r}")
+    model = cls(**params)
+    model.dim_ = doc["dim"]
+    return model
+
+
+def num_classes_from_doc(doc):
+    """A tree classifier document's num_classes, checked to be an int >= 1."""
+    if not _is_count(doc["num_classes"]):
+        raise DataError(f"num_classes must be an int >= 1, got {doc['num_classes']!r}")
+    return doc["num_classes"]
 
 
 def gini(counts):
@@ -301,6 +393,9 @@ def grow_tree(X, y, max_depth=5, min_instances_per_node=1, max_bins=32,
     X's FeatureBins, so a caller growing many trees on one matrix bins it
     once; None bins X here. rows (default all) are the training rows of X
     and may repeat, as a bootstrap sample does; y is aligned with X.
+
+    Returns (tree, leaf): the Tree, and for each row of X the leaf node it
+    reached in training, -1 for a row not among rows.
     """
     X = np.asarray(X, dtype=np.float64)
     rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows)
@@ -309,14 +404,23 @@ def grow_tree(X, y, max_depth=5, min_instances_per_node=1, max_bins=32,
     if criterion == "gini":
         y = as_label_array(y, X.shape[0])
         num_classes = int(num_classes) if num_classes else int(y[rows].max()) + 1
+        empty = np.zeros(num_classes)
     else:
         y = np.asarray(y, dtype=np.float64)
+        empty = 0.0
     if bins is None:
         bins = FeatureBins(X, max_bins)
-    root = TreeNode(rows.shape[0])
-    stack = [(root, rows, 0)]
+    nodes, right = [], []  # (feature, threshold, gain, n, value) per node; right child
+    leaf = np.full(X.shape[0], -1, dtype=np.intp)
+    # Nodes are numbered as they are popped; the left child is on top, so
+    # numbering (and feature_picker's calls) follow depth-first preorder.
+    stack = [(rows, 0, -1)]
     while stack:
-        node, idx, depth = stack.pop()
+        idx, depth, parent = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            right[parent] = node
+        right.append(-1)
         sub_y = y[idx]
         found = None
         if depth < max_depth and idx.shape[0] >= 2 and not _is_pure(sub_y, criterion):
@@ -328,82 +432,56 @@ def grow_tree(X, y, max_depth=5, min_instances_per_node=1, max_bins=32,
             go_left = X[:, f][idx] <= thr
             left_idx, right_idx = idx[go_left], idx[~go_left]
             if min(left_idx.shape[0], right_idx.shape[0]) >= min_instances_per_node:
-                node.feature, node.threshold, node.gain = f, thr, gain
-                node.left = TreeNode(left_idx.shape[0])
-                node.right = TreeNode(right_idx.shape[0])
-                # Left on top: the left subtree grows first, so
-                # feature_picker is called in depth-first preorder.
-                stack.append((node.right, right_idx, depth + 1))
-                stack.append((node.left, left_idx, depth + 1))
+                nodes.append((f, thr, gain, idx.shape[0], empty))
+                stack += [(right_idx, depth + 1, node), (left_idx, depth + 1, -1)]
                 continue
-        node.prediction = _leaf_prediction(sub_y, num_classes, criterion)
-    return root
+        nodes.append((-1, 0.0, 0.0, idx.shape[0], _leaf_prediction(sub_y, num_classes, criterion)))
+        leaf[idx] = node
+    feature, threshold, gain, n_samples, value = zip(*nodes)
+    return Tree(feature, threshold, gain, n_samples, right, value), leaf
 
 
-def route_rows(root, X):
-    """Send every row of the dense matrix X down the tree, one node at a time.
+def apply(tree, X):
+    """The leaf node each row of the densify()-ed matrix X reaches.
 
-    Returns (leaves, slot): the tree's leaves in depth-first order, and for
-    each row the index in leaves of the leaf it reaches. A row goes left
-    iff its value <= the node's threshold.
+    Every row moves down one level per step, tree.depth steps in all; a
+    row goes left iff its value <= the node's threshold, and a row at a
+    leaf stays (see Tree). At a leaf, feature -1 reads the entry before
+    the row's first (X's last for row 0): in bounds, and not <= -inf.
     """
-    leaves = []
-    slot = np.empty(X.shape[0], dtype=np.intp)
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if node.is_leaf:
-            slot[rows] = len(leaves)
-            leaves.append(node)
-            continue
-        if rows.shape[0]:
-            go_left = X[:, node.feature][rows] <= node.threshold
-            left, right = rows[go_left], rows[~go_left]
-        else:
-            # An unreached subtree still lists its leaves; skip the
-            # comparisons, which are most of a small batch's cost.
-            left = right = rows
-        stack.append((node.right, right))
-        stack.append((node.left, left))
-    return leaves, slot
-
-
-def predict_tree(root, x):
-    """(label, class distribution) for one row of a classification tree."""
-    row = np.asarray(x, dtype=np.float64)
-    leaves, slot = route_rows(root, row.reshape(1, -1))
-    dist = leaves[slot[0]].prediction
-    return int(np.argmax(dist)), dist
+    flat = X.ravel()
+    starts = np.arange(X.shape[0]) * X.shape[1]
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    for _ in range(tree.depth):
+        go_left = flat.take(starts + tree.feature[node]) <= tree.threshold[node]
+        node = np.where(go_left, node + 1, tree.right[node])
+    return node
 
 
 def densify(X):
-    """Validate estimator input with as_feature_matrix; a CSR result becomes dense."""
+    """Validate estimator input with as_feature_matrix; the result is a C-ordered ndarray."""
     X = as_feature_matrix(X)
-    return X.toarray() if hasattr(X, "toarray") else X
+    return X.toarray() if hasattr(X, "toarray") else np.ascontiguousarray(X)
 
 
-def tree_predict_matrix(root, X):
+def tree_predict_matrix(tree, X):
     """Leaf predictions for every row of a densify()-ed matrix X.
 
     Returns distributions (n,K) or scores (n,). Callers validate X once,
     so an ensemble does not re-scan it for every tree.
     """
-    leaves, slot = route_rows(root, X)
-    return np.asarray([leaf.prediction for leaf in leaves])[slot]
+    return tree.value[apply(tree, X)]
 
 
-def accumulate_importances(root, out):
-    """Add (n_samples/total)*gain per split into out, indexed by feature."""
-    total = root.n_samples
+def accumulate_importances(tree, out):
+    """Add (n_samples / root n_samples) * gain of each split into out[feature].
 
-    def walk(node):
-        if node.is_leaf:
-            return
-        out[node.feature] += node.n_samples / total * node.gain
-        walk(node.left)
-        walk(node.right)
-
-    walk(root)
+    np.add.at adds the splits one at a time in preorder, so each out[f]
+    sums the same floats in the same order as a depth-first walk.
+    """
+    splits = np.flatnonzero(tree.feature >= 0)
+    np.add.at(out, tree.feature[splits],
+              tree.n_samples[splits] / tree.n_samples[0] * tree.gain[splits])
     return out
 
 
@@ -416,7 +494,7 @@ class DecisionTreeClassifier(BaseEstimator):
         self.min_instances_per_node = min_instances_per_node
         self.max_bins = max_bins
         self.num_classes = num_classes
-        self.root_ = None
+        self.tree_ = None
 
     def fit(self, X, y):
         X = densify(X)
@@ -425,7 +503,7 @@ class DecisionTreeClassifier(BaseEstimator):
         check_labels_in_range(y, k)
         self.num_classes_ = k
         self.dim_ = X.shape[1]
-        self.root_ = grow_tree(
+        self.tree_, _ = grow_tree(
             X, y,
             max_depth=self.max_depth,
             min_instances_per_node=self.min_instances_per_node,
@@ -436,38 +514,32 @@ class DecisionTreeClassifier(BaseEstimator):
         return self
 
     def predict_proba(self, X):
-        check_is_fitted(self, "root_")
-        return tree_predict_matrix(self.root_, densify(X))
+        check_is_fitted(self, "tree_")
+        X = densify(X)
+        check_matching_dim(self.dim_, X)
+        return tree_predict_matrix(self.tree_, X)
 
     def predict(self, X):
         return np.argmax(self.predict_proba(X), axis=1)
 
     def predict_one(self, x):
-        check_is_fitted(self, "root_")
-        return predict_tree(self.root_, x)
-
-    def tree_roots(self):
-        check_is_fitted(self, "root_")
-        return [self.root_]
-
-    def feature_importances(self):
-        check_is_fitted(self, "root_")
-        return accumulate_importances(self.root_, np.zeros(self.dim_))
+        """(label, class distribution) for one row."""
+        dist = self.predict_proba(x)[0]
+        return int(np.argmax(dist)), dist
 
     def to_json(self):
-        check_is_fitted(self, "root_")
+        check_is_fitted(self, "tree_")
         return {
             "kind": "dtree",
             "num_classes": self.num_classes_,
             "dim": self.dim_,
             "params": self.get_params(),
-            "root": self.root_.to_json(),
+            "root": self.tree_.to_json(),
         }
 
     @classmethod
     def from_json(cls, doc):
-        model = cls(**doc["params"])
-        model.num_classes_ = doc["num_classes"]
-        model.dim_ = doc["dim"]
-        model.root_ = TreeNode.from_json(doc["root"])
+        model = model_from_doc(cls, doc, "num_classes", "root")
+        model.num_classes_ = num_classes_from_doc(doc)
+        model.tree_ = Tree.from_json(doc["root"], model.dim_, model.num_classes_, "root")
         return model

@@ -593,10 +593,13 @@ class TestProbeBlockChecks:
         assert code == 3 and err.startswith("error: ")
 
 
-# tests/data/*_v1.model.json were written by the code before feature rows
-# became plain dicts, with this recipe; see tests/data/README.md.
+# tests/data/*_v1.model.json were written with this recipe: logistic and dtree
+# by the code before feature rows became plain dicts, rforest and gbt by the
+# code before trees became flat arrays; see tests/data/README.md.
 FIXTURE_SYNTH = ["--rows", "400", "--seed", "3"]
 FIXTURE_TRAIN = ["--tuning", "tvs", "--vocab-size", "32", "--seed", "3"]
+FIXTURE_TREE_MODELS = ["dtree", "rforest", "gbt"]
+FIXTURE_MODELS = ["logistic", *FIXTURE_TREE_MODELS]
 
 
 class TestCheckedInArtifacts:
@@ -609,16 +612,221 @@ class TestCheckedInArtifacts:
                      "--out", str(root / "run"), "--seed", "3"]) == 0
         return root / "run"
 
-    @pytest.mark.parametrize("model", ["logistic", "dtree"])
+    @pytest.fixture(scope="class")
+    def fresh_artifact(self, recipe_run):
+        """The artifact a fresh recipe train writes for a model kind, trained once per kind."""
+        written = {}
+
+        def train(model):
+            if model not in written:
+                assert main(["train", "--out", str(recipe_run), "--model", model,
+                             *FIXTURE_TRAIN]) == 0
+                written[model] = read_json(recipe_run / "model.json")
+            return written[model]
+
+        return train
+
+    @pytest.mark.parametrize("model", FIXTURE_MODELS)
     def test_fixture_verifies(self, tmp_path, model):
         assert main(["verify-model", "--path", str(FIXTURES / f"{model}_v1.model.json"),
                      "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("model", ["logistic", "dtree"])
-    def test_fresh_train_writes_fixture_probes(self, recipe_run, model):
-        assert main(["train", "--out", str(recipe_run), "--model", model, *FIXTURE_TRAIN]) == 0
+    @pytest.mark.parametrize("model", FIXTURE_MODELS)
+    def test_fresh_train_writes_fixture_probes(self, fresh_artifact, model):
         fixture = read_json(FIXTURES / f"{model}_v1.model.json")
-        assert read_json(recipe_run / "model.json")["probes"] == fixture["probes"]
+        assert fresh_artifact(model)["probes"] == fixture["probes"]
+
+    @pytest.mark.parametrize("model", FIXTURE_TREE_MODELS)
+    def test_fresh_train_writes_fixture_model(self, fresh_artifact, model):
+        # The grower must build the same trees, node for node and bit for bit.
+        fixture = read_json(FIXTURES / f"{model}_v1.model.json")
+        assert fresh_artifact(model)["model"] == fixture["model"]
+
+    @pytest.mark.parametrize("model", FIXTURE_TREE_MODELS)
+    def test_fixture_model_round_trips(self, model):
+        from bookml.persist import model_from_json
+
+        doc = read_json(FIXTURES / f"{model}_v1.model.json")["model"]
+        assert model_from_json(doc).to_json() == doc
+
+
+def _tree_nodes(model):
+    """Every node of a tree model document: each tree in order, nodes in preorder."""
+    stack = [model["root"]] if "root" in model else list(reversed(model["trees"]))
+    nodes = []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if "feature" in node:
+            stack += [node["right"], node["left"]]
+    return nodes
+
+
+def _on_node(leaf, mutate):
+    """Mutate the first leaf (leaf=True) or split node of a tree model document."""
+    def apply(model):
+        mutate(next(n for n in _tree_nodes(model) if ("feature" in n) != leaf))
+    return apply
+
+
+def _on_split(mutate):
+    return _on_node(False, mutate)
+
+
+def _on_leaf(mutate):
+    return _on_node(True, mutate)
+
+
+# Malformed tree model documents (dtree, rforest and gbt): verify-model must exit 3.
+TREE_DOC_MUTATIONS = {
+    "leaf without prediction": _on_leaf(lambda n: _drop_key(n, "prediction")),
+    "split without left": _on_split(lambda n: _drop_key(n, "left")),
+    "split without right": _on_split(lambda n: _drop_key(n, "right")),
+    "split without gain": _on_split(lambda n: _drop_key(n, "gain")),
+    "split without threshold": _on_split(lambda n: _drop_key(n, "threshold")),
+    "feature out of range": _on_split(_set("feature", 1000000)),
+    "feature equal to dim": lambda m: _on_split(_set("feature", m["dim"]))(m),
+    "negative feature": _on_split(_set("feature", -1)),
+    "float feature": _on_split(_set("feature", 0.0)),
+    "null feature": _on_split(_set("feature", None)),
+    "string threshold": _on_split(_set("threshold", "0.5")),
+    "NaN threshold": _on_split(_set("threshold", float("nan"))),
+    "infinite gain": _on_split(_set("gain", float("inf"))),
+    "bool gain": _on_split(_set("gain", True)),
+    "missing n": _on_leaf(lambda n: _drop_key(n, "n")),
+    "zero n": _on_leaf(_set("n", 0)),
+    "bool n": _on_split(_set("n", True)),
+    "float n": _on_split(_set("n", 2.0)),
+    "child not an object": _on_split(_set("left", [1.0])),
+    "missing dim": lambda m: _drop_key(m, "dim"),
+    "string dim": _set("dim", "64"),
+    "zero dim": _set("dim", 0),
+    "dim wider than the features": lambda m: m.update(dim=m["dim"] + 1),
+    "params not an object": _set("params", []),
+    "unknown param": lambda m: m["params"].update(extra=1),
+    "missing param": lambda m: _drop_key(m["params"], "max_depth"),
+}
+
+# Malformed class-distribution trees (dtree and rforest).
+DISTRIBUTION_TREE_MUTATIONS = {
+    "1-long prediction": _on_leaf(_set("prediction", [1.0])),
+    "number prediction": _on_leaf(_set("prediction", 0.5)),
+    "NaN in prediction": _on_leaf(lambda n: n["prediction"].__setitem__(0, float("nan"))),
+    "string in prediction": _on_leaf(lambda n: n["prediction"].__setitem__(0, "0.5")),
+    "missing num_classes": lambda m: _drop_key(m, "num_classes"),
+    "zero num_classes": _set("num_classes", 0),
+}
+
+# Malformed tree lists (rforest and gbt).
+TREE_LIST_MUTATIONS = {
+    "empty trees": _set("trees", []),
+    "trees not a list": lambda m: m.update(trees=m["trees"][0]),
+    "missing trees": lambda m: _drop_key(m, "trees"),
+}
+
+# Malformed boosted-score trees (gbt).
+SCORE_TREE_MUTATIONS = {
+    "list leaf score": _on_leaf(lambda n: n.update(prediction=[n["prediction"]])),
+    "string leaf score": _on_leaf(_set("prediction", "0.5")),
+    "NaN leaf score": _on_leaf(_set("prediction", float("nan"))),
+    "missing initial_score": lambda m: _drop_key(m, "initial_score"),
+    "string initial_score": _set("initial_score", "0.1"),
+    "infinite initial_score": _set("initial_score", float("-inf")),
+    "string learning_rate": lambda m: m["params"].update(learning_rate="0.1"),
+}
+
+CLASSIFIER_MODEL_CASES = sorted(
+    [(kind, name) for kind in FIXTURE_TREE_MODELS for name in TREE_DOC_MUTATIONS]
+    + [(kind, name) for kind in ("dtree", "rforest") for name in DISTRIBUTION_TREE_MUTATIONS]
+    + [(kind, name) for kind in ("rforest", "gbt") for name in TREE_LIST_MUTATIONS]
+    + [("gbt", name) for name in SCORE_TREE_MUTATIONS])
+CLASSIFIER_MODEL_MUTATIONS = {
+    **TREE_DOC_MUTATIONS, **DISTRIBUTION_TREE_MUTATIONS, **TREE_LIST_MUTATIONS,
+    **SCORE_TREE_MUTATIONS,
+}
+
+
+def _stages(mutate):
+    def apply(artifact):
+        mutate(artifact["pipeline"]["stages"])
+    return apply
+
+
+def _on_stage(mutate):
+    return _stages(lambda stages: mutate(stages[0]))
+
+
+# Malformed pipeline blocks of a classifier artifact: verify-model must exit 3.
+PIPELINE_MUTATIONS = {
+    "missing pipeline": lambda a: _drop_key(a, "pipeline"),
+    "pipeline not an object": _set("pipeline", []),
+    "missing stages": lambda a: _drop_key(a["pipeline"], "stages"),
+    "stages not a list": lambda a: a["pipeline"].update(stages={"type": "tokenize"}),
+    "stage not an object": _stages(lambda s: s.__setitem__(0, "tokenize")),
+    "stage without type": _on_stage(lambda s: _drop_key(s, "type")),
+    "list stage type": _on_stage(lambda s: s.update(type=[s["type"]])),
+    "stage without params": _on_stage(lambda s: _drop_key(s, "params")),
+    "params not an object": _on_stage(_set("params", [])),
+    "unknown stage param": _on_stage(lambda s: s["params"].update(extra=1)),
+    "missing stage param": _on_stage(lambda s: _drop_key(s["params"], "input_col")),
+    "stage without state": _on_stage(lambda s: _drop_key(s, "state")),
+    "state not an object": _on_stage(_set("state", [])),
+}
+
+
+class TestClassifierArtifactChecks:
+    """A classifier artifact's model and pipeline are checked as they load."""
+
+    verify = staticmethod(TestProbeBlockChecks.verify)
+
+    @pytest.mark.parametrize("kind,name", CLASSIFIER_MODEL_CASES)
+    def test_malformed_tree_model_is_data_error(self, tmp_path, capsys, kind, name):
+        artifact = read_json(FIXTURES / f"{kind}_v1.model.json")
+        CLASSIFIER_MODEL_MUTATIONS[name](artifact["model"])
+        code, err = self.verify(tmp_path, capsys, artifact)
+        assert code == 3 and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.fixture(scope="class")
+    def tree_artifacts(self):
+        return {kind: read_json(FIXTURES / f"{kind}_v1.model.json")
+                for kind in FIXTURE_TREE_MODELS}
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_tree_model_is_data_error(self, tmp_path, capsys, tree_artifacts, data):
+        kind = data.draw(st.sampled_from(FIXTURE_TREE_MODELS))
+        artifact = copy.deepcopy(tree_artifacts[kind])
+        nodes = _tree_nodes(artifact["model"])
+        # A node of a tree, or the model document itself.
+        node = ([artifact["model"]] + nodes)[data.draw(st.integers(0, len(nodes)))]
+        action = data.draw(st.sampled_from(["drop", "retype", "nonfinite"]))
+        if action == "nonfinite":
+            bad = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+            if node is artifact["model"]:
+                node["initial_score" if kind == "gbt" else "dim"] = bad
+            elif "feature" in node:
+                node[data.draw(st.sampled_from(["threshold", "gain"]))] = bad
+            elif isinstance(node["prediction"], list):
+                node["prediction"][data.draw(st.integers(0, len(node["prediction"]) - 1))] = bad
+            else:
+                node["prediction"] = bad
+        else:
+            key = data.draw(st.sampled_from(sorted(node)))
+            if action == "drop":
+                del node[key]
+            else:
+                node[key] = data.draw(st.sampled_from(
+                    [None, True, "x", {"a": 1}, [[1.0]]]).filter(lambda v: v != node[key]))
+        code, err = self.verify(tmp_path, capsys, artifact)
+        assert code == 3 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", sorted(PIPELINE_MUTATIONS))
+    def test_malformed_pipeline_is_data_error(self, tmp_path, capsys, name):
+        artifact = read_json(FIXTURES / "logistic_v1.model.json")
+        PIPELINE_MUTATIONS[name](artifact)
+        code, err = self.verify(tmp_path, capsys, artifact)
+        assert code == 3 and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRequestPath:

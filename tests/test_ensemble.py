@@ -9,7 +9,7 @@ from bookml import (
     RandomForestClassifier,
     block_importances,
 )
-from bookml.tree import TreeNode
+from bookml.tree import Tree, accumulate_importances
 from bookml.vectors import Block
 
 SEPARABLE_X = np.array([[-1.0]] * 10 + [[1.0]] * 10)
@@ -54,10 +54,12 @@ class TestRandomForest:
             assert preds[i] == int(np.argmax(counts))
 
     def test_tie_goes_to_lower_class(self):
-        dist0 = np.array([1.0, 0.0])
-        dist1 = np.array([0.0, 1.0])
+        def leaf(dist):
+            return Tree(feature=[-1], threshold=[0.0], gain=[0.0], n_samples=[1], right=[-1],
+                        value=[dist])
+
         model = RandomForestClassifier(num_trees=2, seed=0)
-        model.trees_ = [TreeNode(1, prediction=dist0), TreeNode(1, prediction=dist1)]
+        model.trees_ = [leaf([1.0, 0.0]), leaf([0.0, 1.0])]
         model.num_classes_ = 2
         model.dim_ = 1
         assert model.predict(np.zeros((1, 1)))[0] == 0
@@ -67,7 +69,7 @@ class TestRandomForest:
         y = rng.integers(0, 2, 60)
         tree = DecisionTreeClassifier(max_depth=3).fit(X, y)
         model = RandomForestClassifier(num_trees=3, seed=0)
-        model.trees_ = [tree.root_] * 3
+        model.trees_ = [tree.tree_] * 3
         model.num_classes_ = 2
         model.dim_ = 2
         probes = rng.normal(0, 1, (50, 2))
@@ -122,15 +124,9 @@ class TestGradientBoosting:
         probes = rng.normal(0, 1, (40, 3))
         before = model.decision_function(probes)
 
-        def negate(node):
-            if node.is_leaf:
-                node.prediction = -node.prediction
-                return
-            negate(node.left)
-            negate(node.right)
-
         for t in model.trees_:
-            negate(t)
+            leaves = t.feature < 0
+            t.value[leaves] = -t.value[leaves]
         model.initial_score_ = -model.initial_score_
         after = model.decision_function(probes)
         np.testing.assert_allclose(after, -before, atol=1e-12)
@@ -167,8 +163,8 @@ class TestPredictValidatesOnce:
         model = GradientBoostedTreesClassifier(num_iters=8, learning_rate=0.1).fit(X, y)
         probes = rng.normal(0, 1, (90, 4))
         expected = np.full(probes.shape[0], model.initial_score_)
-        for root in model.trees_:
-            expected = expected + model.learning_rate * tree_predict_matrix(root, probes)
+        for tree in model.trees_:
+            expected = expected + model.learning_rate * tree_predict_matrix(tree, probes)
         calls = self.count_validations(monkeypatch)
         scores = model.decision_function(probes)
         assert len(calls) == 1
@@ -182,8 +178,8 @@ class TestPredictValidatesOnce:
         model = RandomForestClassifier(num_trees=6, max_depth=4, seed=2).fit(X, y)
         probes = rng.normal(0, 1, (80, 3))
         votes = np.zeros((probes.shape[0], 3), dtype=np.int64)
-        for root in model.trees_:
-            labels = np.argmax(tree_predict_matrix(root, probes), axis=1)
+        for tree in model.trees_:
+            labels = np.argmax(tree_predict_matrix(tree, probes), axis=1)
             votes[np.arange(probes.shape[0]), labels] += 1
         calls = self.count_validations(monkeypatch)
         preds = model.predict(probes)
@@ -223,6 +219,26 @@ class TestBlockImportances:
         imp = block_importances(model, self.blocks())
         assert imp.degenerate
         np.testing.assert_array_equal(imp.values, np.zeros(3))
+
+    def test_importances_match_a_preorder_walk(self, rng):
+        # Reference: a depth-first walk adding one split at a time in
+        # Python floats; the flat add must give the same floats.
+        X = rng.normal(0, 1, (150, 4))
+        y = rng.integers(0, 3, 150)
+        model = RandomForestClassifier(num_trees=6, max_depth=6, seed=4).fit(X, y)
+        want = [0.0] * 4
+        for tree in model.trees_:
+            total, stack = int(tree.n_samples[0]), [0]
+            while stack:
+                node = stack.pop()
+                if tree.feature[node] >= 0:
+                    f = int(tree.feature[node])
+                    want[f] += int(tree.n_samples[node]) / total * float(tree.gain[node])
+                    stack += [int(tree.right[node]), node + 1]
+        got = np.zeros(4)
+        for tree in model.trees_:
+            accumulate_importances(tree, got)
+        assert got.tolist() == want
 
     def test_rows_sorted_descending(self, rng):
         X = rng.normal(0, 1, (100, 4))

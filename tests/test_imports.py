@@ -16,13 +16,13 @@ PUBLIC_NAMES = [
     "GradientBoostedTreesClassifier", "IngestOptions", "InteractionSet", "LinearSVC",
     "LogisticRegressionClassifier", "MetricsReport", "MinMaxState", "NotFittedError",
     "NumericError", "Pipeline", "RandomForestClassifier", "ScaleMinMax", "Schema", "Stage",
-    "Table", "TokenizeText", "TreeNode", "TuneResult", "Vocabulary", "WeightIdf",
+    "Table", "TokenizeText", "TuneResult", "Vocabulary", "WeightIdf",
     "best_split", "binarize_label", "block_importances", "build_interactions",
     "check_is_fitted", "column_stats", "cross_validate", "evaluate_binary",
     "evaluate_holdout", "evaluate_multiclass", "evaluate_regression", "expand_grid",
     "fit_count_vectorizer", "fit_minmax", "gini", "idf_weights", "join_inner",
     "kfold_indices", "load_table", "logistic_objective", "parse_csv", "per_user_holdout",
-    "pipeline_fit_transform", "predict_tree", "remove_stopwords", "save_table",
+    "pipeline_fit_transform", "remove_stopwords", "save_table",
     "split_random", "stack_vectors", "tokenize", "train_validation_split",
     "transform_minmax", "write_csv",
 ]

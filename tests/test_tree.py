@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bookml import DataError, DecisionTreeClassifier, best_split, gini, predict_tree
+from bookml import DataError, DecisionTreeClassifier, best_split, gini
 from bookml import tree
 from bookml.ensemble import GradientBoostedTreesClassifier
 from bookml.tree import (
     MIN_GAIN,
     FeatureBins,
-    TreeNode,
+    Tree,
+    apply,
     candidate_thresholds,
     grow_tree,
-    route_rows,
+    tree_predict_matrix,
 )
 
 
@@ -48,18 +49,34 @@ def exhaustive_best_split(X, y, max_bins=32):
     return best
 
 
-def walk(root, row):
-    """Per-row reference router: follow one row from the root to its leaf."""
-    node = root
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
+def walk(tree, row):
+    """Per-row reference router: follow one row from the root to its leaf node."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = node + 1 if go_left else tree.right[node]
     return node
 
 
-def route(root, row):
-    """Leaf that one row reaches through the node-at-a-time router."""
-    leaves, slot = route_rows(root, np.asarray(row, dtype=float).reshape(1, -1))
-    return leaves[slot[0]]
+def route(tree, row):
+    """Leaf node that one row reaches through the level-at-a-time router."""
+    return apply(tree, np.asarray(row, dtype=float).reshape(1, -1))[0]
+
+
+def label(tree, row):
+    """Class of the leaf distribution one row reaches."""
+    return int(np.argmax(tree.value[route(tree, row)]))
+
+
+def is_leaf(tree, node):
+    return tree.feature[node] < 0
+
+
+def stump():
+    """Hand-built split of feature 0 at 0.5: class 0 left (node 1), class 1 right (node 2)."""
+    return Tree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], gain=[0.5, 0.0, 0.0],
+                n_samples=[2, 1, 1], right=[2, -1, -1],
+                value=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 # Reference: the per-node split search that re-sorts each feature at every
@@ -216,15 +233,15 @@ class TestBestSplit:
 
 class TestGrowAndPredict:
     def test_two_point_tree(self):
-        root = grow_tree(np.array([[0.0], [1.0]]), np.array([0, 1]), max_depth=3)
-        assert not root.is_leaf
-        assert predict_tree(root, [0.0])[0] == 0
-        assert predict_tree(root, [1.0])[0] == 1
+        tree, _ = grow_tree(np.array([[0.0], [1.0]]), np.array([0, 1]), max_depth=3)
+        assert not is_leaf(tree, 0)
+        assert label(tree, [0.0]) == 0
+        assert label(tree, [1.0]) == 1
 
     def test_depth_zero_majority_leaf(self):
-        root = grow_tree(np.array([[0.0], [1.0], [2.0]]), np.array([1, 1, 0]), max_depth=0)
-        assert root.is_leaf
-        assert predict_tree(root, [5.0])[0] == 1
+        tree, _ = grow_tree(np.array([[0.0], [1.0], [2.0]]), np.array([1, 1, 0]), max_depth=0)
+        assert is_leaf(tree, 0)
+        assert label(tree, [5.0]) == 1
 
     def test_xor_at_depth_two(self):
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]] * 25, dtype=float)
@@ -233,40 +250,30 @@ class TestGrowAndPredict:
         assert (model.predict(X) == y).mean() == 1.0
 
     def test_boundary_value_goes_left(self):
-        left = TreeNode(1, prediction=np.array([1.0, 0.0]))
-        right = TreeNode(1, prediction=np.array([0.0, 1.0]))
-        root = TreeNode(2, feature=0, threshold=0.5, gain=0.5, left=left, right=right)
-        leaves, slot = route_rows(root, np.array([[0.5], [0.5000001]]))
-        assert leaves[slot[0]] is left
-        assert leaves[slot[1]] is right
+        assert apply(stump(), np.array([[0.5], [0.5000001]])).tolist() == [1, 2]
 
     def test_single_leaf_distribution(self):
-        root = TreeNode(10, prediction=np.array([0.7, 0.3]))
-        label, dist = predict_tree(root, [1.0])
-        assert label == 0
-        np.testing.assert_allclose(dist, [0.7, 0.3])
+        tree = Tree(feature=[-1], threshold=[0.0], gain=[0.0], n_samples=[10], right=[-1],
+                    value=[[0.7, 0.3]])
+        assert label(tree, [1.0]) == 0
+        np.testing.assert_allclose(tree_predict_matrix(tree, np.array([[1.0]]))[0], [0.7, 0.3])
 
     def test_routing_agrees_with_predicate_oracle(self, rng):
         X = rng.normal(0, 1, (80, 3))
         y = rng.integers(0, 2, 80)
-        root = grow_tree(X, y, max_depth=4)
+        tree, _ = grow_tree(X, y, max_depth=4)
 
         def leaves_with_predicates(node, preds):
-            if node.is_leaf:
+            if is_leaf(tree, node):
                 yield node, list(preds)
                 return
-            yield from leaves_with_predicates(
-                node.left, preds + [(node.feature, node.threshold, True)]
-            )
-            yield from leaves_with_predicates(
-                node.right, preds + [(node.feature, node.threshold, False)]
-            )
+            f, thr = tree.feature[node], tree.threshold[node]
+            yield from leaves_with_predicates(node + 1, preds + [(f, thr, True)])
+            yield from leaves_with_predicates(tree.right[node], preds + [(f, thr, False)])
 
-        enumerated = list(leaves_with_predicates(root, []))
+        enumerated = list(leaves_with_predicates(0, []))
         probes = rng.normal(0, 1, (100, 3))
-        leaves, slot = route_rows(root, probes)
-        for row, i in zip(probes, slot):
-            routed = leaves[i]
+        for row, routed in zip(probes, apply(tree, probes)):
             matching = [
                 leaf
                 for leaf, preds in enumerated
@@ -274,44 +281,41 @@ class TestGrowAndPredict:
                     (row[f] <= thr) == le for f, thr, le in preds
                 )
             ]
-            assert len(matching) == 1 and matching[0] is routed
+            assert matching == [routed]
 
     def test_children_counts_sum_to_parent(self, rng):
         X = rng.normal(0, 1, (200, 4))
         y = rng.integers(0, 3, 200)
-        root = grow_tree(X, y, max_depth=5)
-
-        def check(node):
-            if node.is_leaf:
-                return
-            assert node.left.n_samples + node.right.n_samples == node.n_samples
-            check(node.left)
-            check(node.right)
-
-        check(root)
+        tree, _ = grow_tree(X, y, max_depth=5)
+        splits = np.flatnonzero(tree.feature >= 0)
+        assert splits.shape[0] > 0
+        for node in splits:
+            n = tree.n_samples
+            assert n[node + 1] + n[tree.right[node]] == n[node]
 
     def test_prediction_piecewise_constant_within_cells(self, rng):
         X = rng.normal(0, 1, (150, 2))
         y = rng.integers(0, 2, 150)
-        root = grow_tree(X, y, max_depth=4)
+        tree, _ = grow_tree(X, y, max_depth=4)
         for _ in range(50):
             row = rng.normal(0, 1, 2)
-            leaf = route(root, row)
+            leaf = route(tree, row)
             # wiggle each feature without crossing any ancestor threshold
-            node, lo, hi = root, np.full(2, -np.inf), np.full(2, np.inf)
-            while not node.is_leaf:
-                if row[node.feature] <= node.threshold:
-                    hi[node.feature] = min(hi[node.feature], node.threshold)
-                    node = node.left
+            node, lo, hi = 0, np.full(2, -np.inf), np.full(2, np.inf)
+            while not is_leaf(tree, node):
+                f, thr = tree.feature[node], tree.threshold[node]
+                if row[f] <= thr:
+                    hi[f] = min(hi[f], thr)
+                    node = node + 1
                 else:
-                    lo[node.feature] = max(lo[node.feature], node.threshold)
-                    node = node.right
+                    lo[f] = max(lo[f], thr)
+                    node = tree.right[node]
             for f in range(2):
                 wiggled = row.copy()
                 span_lo = max(lo[f], row[f] - 0.1)
                 span_hi = min(hi[f], row[f] + 0.1)
                 wiggled[f] = rng.uniform(span_lo, min(span_hi, np.nextafter(hi[f], -np.inf)))
-                assert route(root, wiggled) is leaf
+                assert route(tree, wiggled) == leaf
 
     def test_grow_tree_releases_its_inputs(self, rng):
         # No reference cycle may keep the training matrix alive after the
@@ -322,12 +326,12 @@ class TestGrowAndPredict:
         ref = weakref.ref(X)
         gc.disable()
         try:
-            root = grow_tree(X, y, max_depth=4)
+            tree, _ = grow_tree(X, y, max_depth=4)
             del X
             assert ref() is None
         finally:
             gc.enable()
-        assert not root.is_leaf
+        assert not is_leaf(tree, 0)
 
     def test_json_roundtrip(self, rng):
         X = rng.normal(0, 1, (60, 3))
@@ -419,8 +423,8 @@ class TestHistogramSearch:
         assert (lo + hi) / 2.0 == hi
         X = np.array([[lo], [hi], [lo], [hi]])
         y = np.array([0, 1, 0, 1])
-        root = grow_tree(X, y, max_depth=1)
-        assert not root.is_leaf and lo <= root.threshold < hi
+        tree, _ = grow_tree(X, y, max_depth=1)
+        assert not is_leaf(tree, 0) and lo <= tree.threshold[0] < hi
         assert DecisionTreeClassifier(max_depth=1).fit(X, y).predict(X).tolist() == [0, 1, 0, 1]
 
 
@@ -428,32 +432,32 @@ class TestRouteRows:
     def test_matches_per_row_walk_including_threshold_ties(self, rng):
         X = rng.integers(0, 6, (200, 3)).astype(float)
         y = rng.integers(0, 3, 200)
-        root = grow_tree(X, y, max_depth=5)
-        thresholds = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                thresholds.append((node.feature, node.threshold))
-                stack += [node.left, node.right]
+        tree, _ = grow_tree(X, y, max_depth=5)
+        splits = np.flatnonzero(tree.feature >= 0)
         probes = rng.uniform(-1, 6, (300, 3))
         # Rows sitting exactly on a threshold must go left.
-        for i, (f, thr) in enumerate(thresholds):
-            probes[i, f] = thr
-        leaves, slot = route_rows(root, probes)
-        assert len(leaves) == len(set(map(id, leaves)))
-        for row, i in zip(probes, slot):
-            assert leaves[i] is walk(root, row)
+        for i, node in enumerate(splits):
+            probes[i, tree.feature[node]] = tree.threshold[node]
+        for row, node in zip(probes, apply(tree, probes)):
+            assert node == walk(tree, row)
 
-    def test_every_leaf_listed_even_when_unreached(self):
-        left = TreeNode(1, prediction=np.array([1.0, 0.0]))
-        right = TreeNode(1, prediction=np.array([0.0, 1.0]))
-        root = TreeNode(2, feature=0, threshold=0.5, gain=0.5, left=left, right=right)
-        leaves, slot = route_rows(root, np.array([[0.0], [0.2]]))
-        assert leaves == [left, right]
-        assert slot.tolist() == [0, 0]
-        leaves, slot = route_rows(root, np.empty((0, 1)))
-        assert leaves == [left, right] and slot.shape == (0,)
+    def test_unreached_leaves_and_empty_input(self):
+        assert apply(stump(), np.array([[0.0], [0.2]])).tolist() == [1, 1]
+        assert tree_predict_matrix(stump(), np.array([[0.0], [0.2]])).tolist() == [[1.0, 0.0]] * 2
+        assert apply(stump(), np.empty((0, 1))).shape == (0,)
+
+    def test_grower_leaves_match_routing(self, rng):
+        # The grower's leaf for each training row is where routing sends it;
+        # a row left out of a bootstrap sample gets -1.
+        X = rng.integers(0, 6, (120, 3)).astype(float)
+        y = rng.integers(0, 3, 120)
+        rows = rng.integers(0, 120, 120)
+        tree, leaf = grow_tree(X, y, max_depth=4, rows=rows)
+        drawn = np.zeros(120, dtype=bool)
+        drawn[rows] = True
+        np.testing.assert_array_equal(leaf[drawn], apply(tree, X)[drawn])
+        assert np.all(leaf[~drawn] == -1)
+        assert np.all(tree.feature[leaf[drawn]] < 0)
 
 
 def test_gbt_leaf_values_match_per_row_reference(rng):
@@ -462,17 +466,16 @@ def test_gbt_leaf_values_match_per_row_reference(rng):
     model = GradientBoostedTreesClassifier(num_iters=6, max_depth=3).fit(X, y)
     yf = y.astype(float)
     scores = np.full(X.shape[0], model.initial_score_)
-    for root in model.trees_:
+    for tree in model.trees_:
         prob = 1.0 / (1.0 + np.exp(-scores))
         resid = yf - prob
-        reached = [walk(root, X[i]) for i in range(X.shape[0])]
+        reached = [walk(tree, X[i]) for i in range(X.shape[0])]
         num, den = {}, {}
         for leaf, r, q in zip(reached, resid, prob):
-            num[id(leaf)] = num.get(id(leaf), 0.0) + r
-            den[id(leaf)] = den.get(id(leaf), 0.0) + q * (1.0 - q)
-        for leaf in route_rows(root, X[:0])[0]:
-            key = id(leaf)
-            want = num[key] / den[key] if key in den and den[key] > 1e-12 else 0.0
-            assert leaf.prediction == want
-        scores = scores + model.learning_rate * np.array([leaf.prediction for leaf in reached])
+            num[leaf] = num.get(leaf, 0.0) + r
+            den[leaf] = den.get(leaf, 0.0) + q * (1.0 - q)
+        for leaf in np.flatnonzero(tree.feature < 0):
+            want = num[leaf] / den[leaf] if leaf in den and den[leaf] > 1e-12 else 0.0
+            assert tree.value[leaf] == want
+        scores = scores + model.learning_rate * tree.value[reached]
     np.testing.assert_array_equal(model.decision_function(X), scores)
