@@ -23,7 +23,7 @@ _MODULE_EXPORTS = {
     ),
     "errors": ("BookmlError", "ConfigError", "DataError", "NotFittedError", "NumericError"),
     "linear": ("LinearSVC", "LogisticRegressionClassifier", "logistic_objective"),
-    "metrics": ("MetricsReport", "evaluate_binary", "evaluate_multiclass", "evaluate_regression"),
+    "metrics": ("MetricsReport", "evaluate_multiclass", "evaluate_regression"),
     "pipeline": (
         "AssembleColumns",
         "CountTokens",
@@ -33,7 +33,6 @@ _MODULE_EXPORTS = {
         "Stage",
         "TokenizeText",
         "WeightIdf",
-        "pipeline_fit_transform",
     ),
     "recommend": (
         "ALSExplicit",
@@ -43,7 +42,6 @@ _MODULE_EXPORTS = {
         "evaluate_holdout",
         "per_user_holdout",
     ),
-    "scaling": ("MinMaxState", "binarize_label", "fit_minmax", "transform_minmax"),
     "selection": (
         "TuneResult",
         "cross_validate",
@@ -53,16 +51,13 @@ _MODULE_EXPORTS = {
     ),
     "table": (
         "Field",
-        "IngestOptions",
         "Schema",
         "Table",
-        "column_stats",
         "join_inner",
         "load_table",
         "parse_csv",
         "save_table",
         "split_random",
-        "write_csv",
     ),
     "text": ("Vocabulary", "fit_count_vectorizer", "idf_weights", "remove_stopwords", "tokenize"),
     "tree": ("DecisionTreeClassifier", "best_split", "gini"),

@@ -35,11 +35,9 @@ from .linear import LinearSVC, LogisticRegressionClassifier
 from .metrics import evaluate_multiclass
 from .persist import load_artifact, model_from_json, model_to_json, save_artifact
 from .recommend import ALSExplicit, ALSImplicit, build_interactions, evaluate_holdout
-from .scaling import binarize_label
 from .selection import SELECTION_METRICS, cross_validate, train_validation_split
 from .synth import generate_corpus
 from .table import (
-    IngestOptions,
     Table,
     books_schema,
     join_inner,
@@ -108,6 +106,8 @@ class RunConfig:
             raise ConfigError("test_fraction must lie strictly between 0 and 1")
         if self.vocab_size < 1 or self.min_df < 1:
             raise ConfigError("vocab_size and min_df must be at least 1")
+        if not 0.0 <= self.max_malformed_fraction <= 1.0:
+            raise ConfigError("max_malformed_fraction must lie in [0, 1]")
         # The library makes these checks too, but only once the prepared
         # table is loaded; a config error must come before any data.
         if self.cv_k < 2:
@@ -174,6 +174,14 @@ def _write_json(path, doc):
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
 
 
+def _check_out_dir(path):
+    """ConfigError unless path is a directory or can be created as one."""
+    path = Path(path).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {existing} exists and is not a directory")
+
+
 def _mark_done(out_dir, command):
     (Path(out_dir) / f"{command}.done").write_text("ok\n", encoding="utf-8")
 
@@ -190,9 +198,8 @@ def cmd_prepare(cfg):
             raise DataError(f"{path}: input CSV not found")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    opts = IngestOptions(max_malformed_fraction=cfg.max_malformed_fraction)
-    ratings = parse_csv(cfg.ratings_csv, ratings_schema(), opts)
-    books = parse_csv(cfg.books_csv, books_schema(), opts)
+    ratings = parse_csv(cfg.ratings_csv, ratings_schema(), cfg.max_malformed_fraction)
+    books = parse_csv(cfg.books_csv, books_schema(), cfg.max_malformed_fraction)
     joined = join_inner(ratings.table, books.table, "title", "title")
     if joined.row_count == 0:
         raise DataError("join produced zero rows; do the two files share titles?")
@@ -305,10 +312,11 @@ def make_labels(table, label_mode):
     if col.mask.any():
         raise DataError("prepared table has null scores; re-run prepare")
     scores = np.asarray(col.values, dtype=np.int64)
-    if label_mode == "binary":
-        return np.array([binarize_label(int(s)) for s in scores]), 2
-    if scores.min() < 1 or scores.max() > 5:
+    if ((scores < 1) | (scores > 5)).any():
         raise DataError("scores outside 1-5 in prepared table")
+    if label_mode == "binary":
+        # The paper's binary task: ratings 1-3 -> 0, 4-5 -> 1.
+        return np.where(scores >= 4, 1, 0), 2
     return scores - 1, 5
 
 
@@ -776,6 +784,12 @@ def cmd_verify(path):
 
 
 def cmd_synth(args):
+    if args.rows < 1:
+        raise ConfigError("--rows must be at least 1")
+    for name in ("correlation", "missing_price_rate", "malformed_rate"):
+        if not 0.0 <= getattr(args, name) <= 1.0:
+            raise ConfigError(f"--{name.replace('_', '-')} must lie in [0, 1]")
+    _check_out_dir(args.out)
     stats = generate_corpus(
         args.out,
         n_ratings=args.rows,
@@ -879,6 +893,7 @@ def main(argv=None):
             key: getattr(args, key) for key in CONFIG_KEYS if hasattr(args, key)
         }
         cfg = load_config(args.config, overrides)
+        _check_out_dir(cfg.out_dir)
         # Only prepare samples; --sample-rows exists on prepare alone, so a
         # value here came from the config file and would be ignored.
         if args.command != "prepare" and cfg.sample_rows is not None:

@@ -13,14 +13,13 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import DataError, NumericError
+from .persist import is_finite_number, model_from_doc
 from .tree import (
     FeatureBins,
     Tree,
-    is_finite_number,
     accumulate_importances,
     densify,
     grow_tree,
-    model_from_doc,
     num_classes_from_doc,
     tree_predict_matrix,
 )
@@ -99,9 +98,6 @@ class RandomForestClassifier(BaseEstimator):
             labels = np.argmax(tree_predict_matrix(tree, X), axis=1)
             votes[np.arange(X.shape[0]), labels] += 1
         return np.argmax(votes, axis=1)
-
-    def predict_one(self, x):
-        return int(self.predict(x)[0])
 
     def to_json(self):
         check_is_fitted(self, "trees_")
@@ -219,11 +215,6 @@ class GradientBoostedTreesClassifier(BaseEstimator):
 
     def predict(self, X):
         return (self.decision_function(X) > 0).astype(np.int64)
-
-    def predict_one(self, x):
-        """(label, positive-class probability) for one row."""
-        score = float(self.decision_function(x)[0])
-        return (1 if score > 0 else 0), float(_sigmoid(np.asarray(score)))
 
     def to_json(self):
         check_is_fitted(self, "trees_")

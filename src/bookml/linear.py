@@ -12,6 +12,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import DataError, NumericError
+from .persist import finite_array, is_count, is_finite_number, is_int, model_from_doc
 from .validation import (
     as_feature_matrix,
     as_label_array,
@@ -140,11 +141,6 @@ class LogisticRegressionClassifier(BaseEstimator):
     def predict(self, X):
         return np.argmax(self.decision_function(X), axis=1)
 
-    def predict_one(self, x):
-        """(label, class probabilities) for a single feature vector."""
-        probs = self.predict_proba(x)[0]
-        return int(np.argmax(probs)), probs
-
     def to_json(self):
         check_is_fitted(self, "weights_")
         return {
@@ -163,13 +159,7 @@ class LogisticRegressionClassifier(BaseEstimator):
 
     @classmethod
     def from_json(cls, doc):
-        model = cls(**doc["params"])
-        model.num_classes_ = doc["num_classes"]
-        model.dim_ = doc["dim"]
-        model.weights_ = np.asarray(doc["weights"], dtype=np.float64)
-        model.intercepts_ = np.asarray(doc["intercepts"], dtype=np.float64)
-        model.n_iters_ = doc["training"]["iterations"]
-        model.final_objective_ = doc["training"]["final_objective"]
+        model = linear_from_json(cls, doc)
         model.loss_trace_ = None
         return model
 
@@ -253,11 +243,6 @@ class LinearSVC(BaseEstimator):
     def predict(self, X):
         return (self.decision_function(X) > 0).astype(np.int64)
 
-    def predict_one(self, x):
-        """(label, margin) for a single feature vector."""
-        margin = float(self.decision_function(x)[0])
-        return (1 if margin > 0 else 0), margin
-
     def to_json(self):
         check_is_fitted(self, "weights_")
         return {
@@ -276,12 +261,38 @@ class LinearSVC(BaseEstimator):
 
     @classmethod
     def from_json(cls, doc):
-        model = cls(**doc["params"])
-        model.dim_ = doc["dim"]
-        model.num_classes_ = 2
-        model.weights_ = np.asarray(doc["weights"], dtype=np.float64)
-        model.intercepts_ = np.asarray(doc["intercepts"], dtype=np.float64)
-        model.n_iters_ = doc["training"]["iterations"]
-        model.final_objective_ = doc["training"]["final_objective"]
+        model = linear_from_json(cls, doc)
         model.objective_trace_ = None
         return model
+
+
+def linear_from_json(cls, doc):
+    """A fitted logistic or svc model of cls from its document, checked first.
+
+    The document needs format_version 1, params naming exactly cls's
+    parameters, an int dim >= 1 and an int num_classes >= 2 (exactly 2 for
+    the SVC, which keeps one weight row). weights must be rows x dim and
+    intercepts rows long, with rows = num_classes for logistic regression,
+    all finite numbers; training needs an int iterations >= 0 and a finite
+    final_objective. Any violation raises DataError.
+    """
+    model = model_from_doc(cls, doc, "format_version", "num_classes", "weights",
+                           "intercepts", "training")
+    if not is_int(doc["format_version"]) or doc["format_version"] != MODEL_FORMAT_VERSION:
+        raise DataError(f"unsupported linear model format {doc['format_version']!r}")
+    k = doc["num_classes"]
+    if not (is_count(k) and k >= 2) or cls is LinearSVC and k != 2:
+        raise DataError(f"{cls.__name__} num_classes {k!r} is not a valid class count")
+    rows = 1 if cls is LinearSVC else k
+    model.num_classes_ = k
+    model.weights_ = finite_array(doc["weights"], "weights", (rows, model.dim_))
+    model.intercepts_ = finite_array(doc["intercepts"], "intercepts", (rows,))
+    training = doc["training"]
+    if not (isinstance(training, dict) and sorted(training) == ["final_objective", "iterations"]
+            and is_int(training["iterations"]) and training["iterations"] >= 0
+            and is_finite_number(training["final_objective"])):
+        raise DataError("training must hold an int iterations >= 0 and a finite "
+                        "final_objective")
+    model.n_iters_ = training["iterations"]
+    model.final_objective_ = training["final_objective"]
+    return model

@@ -85,11 +85,6 @@ def evaluate_multiclass(preds, truth, num_classes):
     )
 
 
-def evaluate_binary(preds, truth):
-    """Two-class specialization of evaluate_multiclass."""
-    return evaluate_multiclass(preds, truth, 2)
-
-
 def evaluate_regression(preds, truth):
     """(rmse, r2) for real-valued predictions.
 

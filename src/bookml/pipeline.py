@@ -12,7 +12,7 @@ from scipy import sparse as sp
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import BookmlError, DataError
-from .scaling import MinMaxState, fit_minmax, transform_minmax
+from .persist import finite_array, is_count, is_finite_number, is_int
 from .stopword_list import ENGLISH_STOPWORDS, STOPWORDS_VERSION
 from .text import (
     Vocabulary,
@@ -47,7 +47,8 @@ class Stage(BaseEstimator):
         return {}
 
     def load_state(self, state):
-        pass
+        """Fitted state from state_to_json's object, checked before use (DataError)."""
+        _check_keys(self, state)
 
     def to_json(self):
         return {
@@ -55,6 +56,12 @@ class Stage(BaseEstimator):
             "params": _jsonable_params(self.get_params()),
             "state": self.state_to_json(),
         }
+
+
+def _check_keys(stage, state, *keys):
+    if sorted(state) != sorted(keys):
+        raise DataError(f"{STAGE_NAMES[type(stage)]} state must hold exactly "
+                        f"{sorted(keys)}, got {sorted(state)}")
 
 
 def _jsonable_params(params):
@@ -111,7 +118,11 @@ class FilterStopwords(Stage):
         }
 
     def load_state(self, state):
-        self.stopwords = frozenset(state["stopwords"])
+        _check_keys(self, state, "stopwords", "stopwords_version")
+        words = state["stopwords"]
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise DataError("filter_stopwords state stopwords must be a list of strings")
+        self.stopwords = frozenset(words)
 
 
 class CountTokens(Stage):
@@ -144,9 +155,15 @@ class CountTokens(Stage):
         }
 
     def load_state(self, state):
-        self.vocabulary_ = Vocabulary(
-            tuple(state["terms"]), tuple(state["doc_freq"]), state["corpus_size"]
-        )
+        _check_keys(self, state, "terms", "doc_freq", "corpus_size")
+        terms, doc_freq, size = state["terms"], state["doc_freq"], state["corpus_size"]
+        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)
+                and isinstance(doc_freq, list) and all(is_int(df) for df in doc_freq)
+                and is_count(size)):
+            raise DataError("count_tokens state needs string terms, int doc_freq "
+                            "and an int corpus_size >= 1")
+        # Vocabulary checks that terms are unique and doc_freq aligned and in range.
+        self.vocabulary_ = Vocabulary(tuple(terms), tuple(doc_freq), size)
 
 
 def _docs(col):
@@ -185,7 +202,8 @@ class WeightIdf(Stage):
         return {"weights": self.weights_.tolist()}
 
     def load_state(self, state):
-        self.weights_ = np.asarray(state["weights"], dtype=np.float64)
+        _check_keys(self, state, "weights")
+        self.weights_ = finite_array(state["weights"], "weight_idf state weights", None)
 
 
 def _vector_values(table, name):
@@ -196,37 +214,54 @@ def _vector_values(table, name):
 
 
 class ScaleMinMax(Stage):
-    """numeric column -> float column scaled by the fitted training range."""
+    """numeric column -> float column scaled by the fitted training range.
+
+    The map is (x - min) / (max - min), unclamped, so values outside the
+    training range extrapolate; a constant training column maps to 0.5.
+    """
 
     def __init__(self, input_col, output_col):
         self.input_col = input_col
         self.output_col = output_col
-        self.state_ = None
+        self.min_ = self.max_ = None
 
-    def fit(self, table):
+    def _column(self, table):
         col = table.column(self.input_col)
         if col.dtype not in ("int64", "float64"):
             raise DataError(f"column {self.input_col!r} is not numeric")
-        self.state_ = fit_minmax(np.asarray(col.values, dtype=np.float64), col.mask)
+        return col
+
+    def fit(self, table):
+        col = self._column(table)
+        values = np.asarray(col.values, dtype=np.float64)[~col.mask]
+        if values.shape[0] == 0:
+            raise DataError("cannot fit min-max on an all-null column")
+        self.min_, self.max_ = float(values.min()), float(values.max())
         return self
 
     def transform(self, table):
-        check_is_fitted(self, "state_")
-        col = table.column(self.input_col)
-        if col.dtype not in ("int64", "float64"):
-            raise DataError(f"column {self.input_col!r} is not numeric")
+        check_is_fitted(self, "min_")
+        col = self._column(table)
         if col.has_nulls:
             raise DataError(
                 f"column {self.input_col!r} has nulls; drop those rows before scaling"
             )
-        out = transform_minmax(self.state_, np.asarray(col.values, dtype=np.float64))
+        x = np.asarray(col.values, dtype=np.float64)
+        if self.max_ == self.min_:
+            out = np.full_like(x, 0.5)
+        else:
+            out = (x - self.min_) / (self.max_ - self.min_)
         return table.with_column(self.output_col, "float64", out)
 
     def state_to_json(self):
-        return {"min": self.state_.min, "max": self.state_.max}
+        return {"min": self.min_, "max": self.max_}
 
     def load_state(self, state):
-        self.state_ = MinMaxState(state["min"], state["max"])
+        _check_keys(self, state, "min", "max")
+        lo, hi = state["min"], state["max"]
+        if not (is_finite_number(lo) and is_finite_number(hi) and lo <= hi):
+            raise DataError("scale_minmax state needs finite numbers min <= max")
+        self.min_, self.max_ = lo, hi
 
 
 class AssembleColumns(Stage):
@@ -304,7 +339,10 @@ class AssembleColumns(Stage):
         return {"block_map": self.block_map_.to_json()}
 
     def load_state(self, state):
+        _check_keys(self, state, "block_map")
         self.block_map_ = BlockMap.from_json(state["block_map"])
+        if self.block_map_.names() != self.input_cols:
+            raise DataError("assemble state block_map must name the input_cols in order")
 
 
 STAGE_NAMES = {
@@ -403,9 +441,3 @@ class Pipeline(BaseEstimator):
         pipe.fitted_ = True
         return pipe
 
-
-def pipeline_fit_transform(stages, table):
-    """Fit a pipeline on the table; returns (fitted pipeline, transformed table)."""
-    pipe = Pipeline(stages)
-    out = pipe.fit_transform(table)
-    return pipe, out

@@ -23,6 +23,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import ConfigError, DataError, NumericError
+from .persist import finite_array, is_int
 
 logger = logging.getLogger(__name__)
 
@@ -352,21 +353,17 @@ class _ALSBase(BaseEstimator):
         model.item_ids_ = _id_list(doc["item_ids"], "item_ids")
         model.user_index_ = {u: i for i, u in enumerate(model.user_ids_)}
         model.item_index_ = {v: i for i, v in enumerate(model.item_ids_)}
-        model.user_factors_ = _finite_array(
+        model.user_factors_ = finite_array(
             doc["user_factors"], "user_factors", (len(model.user_ids_), rank))
-        model.item_factors_ = _finite_array(
+        model.item_factors_ = finite_array(
             doc["item_factors"], "item_factors", (len(model.item_ids_), rank))
-        model.global_mean_ = float(_finite_array(doc["global_mean"], "global_mean", ()))
-        model.objective_trace_ = _finite_array(doc["objective_trace"], "objective_trace", None)
+        model.global_mean_ = float(finite_array(doc["global_mean"], "global_mean", ()))
+        model.objective_trace_ = finite_array(doc["objective_trace"], "objective_trace", None)
         return model
 
 
 _FACTOR_DOC_KEYS = ("format_version", "kind", "rank", "params", "user_ids", "item_ids",
                     "user_factors", "item_factors", "global_mean", "objective_trace")
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_factor_doc(cls, doc):
@@ -376,12 +373,12 @@ def _check_factor_doc(cls, doc):
     missing = [key for key in _FACTOR_DOC_KEYS if key not in doc]
     if missing:
         raise DataError(f"factor model lacks keys {missing}")
-    if not _is_int(doc["format_version"]) or doc["format_version"] != FACTOR_FORMAT_VERSION:
+    if not is_int(doc["format_version"]) or doc["format_version"] != FACTOR_FORMAT_VERSION:
         raise DataError(f"unsupported factor format {doc['format_version']!r}")
     if doc["kind"] != cls.kind:
         raise DataError(f"factor model kind {doc['kind']!r} is not {cls.kind!r}")
     rank = doc["rank"]
-    if not _is_int(rank) or rank < 1:
+    if not is_int(rank) or rank < 1:
         raise DataError(f"factor rank must be an int >= 1, got {rank!r}")
     params = doc["params"]
     names = cls._param_names()
@@ -390,9 +387,9 @@ def _check_factor_doc(cls, doc):
         raise DataError(f"factor model params must be exactly {sorted(names)}, got {got}")
     for name, value in params.items():
         if name in ("rank", "sweeps"):
-            ok = _is_int(value)
+            ok = is_int(value)
         elif name == "seed":
-            ok = value is None or _is_int(value)
+            ok = value is None or is_int(value)
         else:
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not ok:
@@ -407,26 +404,6 @@ def _id_list(value, what):
     if len(set(value)) != len(value):
         raise DataError(f"{what} has duplicate ids")
     return list(value)
-
-
-def _finite_array(value, what, shape):
-    """value as a float64 array of the given shape (None: any 1-d length).
-
-    Only JSON numbers are accepted: ragged lists, strings, booleans and
-    nulls are rejected, as are NaN and infinities.
-    """
-    try:
-        arr = np.array(value)
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"{what} is not a rectangular array of numbers") from exc
-    want = (arr.ndim == 1) if shape is None else (arr.shape == shape)
-    if arr.dtype.kind not in "if" or not want:
-        expected = "a list of numbers" if shape is None else f"of shape {shape}"
-        raise DataError(f"{what} must be {expected}, got {arr.dtype} {arr.shape}")
-    arr = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{what} has non-finite values")
-    return arr
 
 
 class ALSExplicit(_ALSBase):

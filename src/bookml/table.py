@@ -69,9 +69,6 @@ class Schema:
     def __getitem__(self, name):
         return self.fields[self._by_name[name]]
 
-    def index(self, name):
-        return self._by_name[name]
-
     def __len__(self):
         return len(self.fields)
 
@@ -87,22 +84,6 @@ class Schema:
     @classmethod
     def from_json(cls, doc):
         return cls(Field(d["name"], d["dtype"], d["nullable"]) for d in doc)
-
-
-@dataclass(frozen=True)
-class IngestOptions:
-    delimiter: str = ","
-    quote: str = '"'
-    has_header: bool = True
-    max_malformed_fraction: float = 0.01
-
-    def __post_init__(self):
-        if len(self.delimiter) != 1 or len(self.quote) != 1:
-            raise ConfigError("delimiter and quote must be single characters")
-        if self.delimiter == self.quote:
-            raise ConfigError("delimiter and quote must differ")
-        if not 0.0 <= self.max_malformed_fraction <= 1.0:
-            raise ConfigError("max_malformed_fraction must lie in [0, 1]")
 
 
 class Column:
@@ -143,12 +124,6 @@ class Column:
         else:
             vals = tuple(self.values[i] for i in idx.tolist())
         return Column(self.dtype, vals, self.mask[idx])
-
-    def non_null_values(self):
-        keep = ~self.mask
-        if self.dtype in ("int64", "float64", "vector"):
-            return self.values[keep]
-        return [v for v, m in zip(self.values, self.mask) if not m]
 
     def value_at(self, i):
         """Value at row i, or None when null."""
@@ -309,14 +284,14 @@ def _decode_cell(raw, dtype, nullable):
     return value, False, True
 
 
-def parse_csv(path, schema, opts=IngestOptions()):
-    """Stream a CSV file into a Table under the given schema.
+def parse_csv(path, schema, max_malformed_fraction=0.01):
+    """Stream a comma-separated file with a header row into a Table under schema.
 
-    Quoted fields may contain delimiters and line breaks (RFC-4180 quoting,
+    Quoted fields may contain commas and line breaks (RFC-4180 quoting,
     doubled quotes escape). Records whose field count mismatches the schema,
     or with an undecodable cell in a non-nullable column, are counted as
     malformed and skipped; the parse fails if their fraction exceeds
-    opts.max_malformed_fraction.
+    max_malformed_fraction.
     """
     for f in schema.fields:
         if f.dtype not in CSV_DTYPES:
@@ -330,18 +305,17 @@ def parse_csv(path, schema, opts=IngestOptions()):
     old_limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh, delimiter=opts.delimiter, quotechar=opts.quote)
-            if opts.has_header:
-                try:
-                    header = next(reader)
-                except StopIteration:
-                    raise DataError(f"{path}: empty file, expected a header")
-                got = [h.strip().lower() for h in header]
-                want = [n.lower() for n in schema.names()]
-                if got != want:
-                    raise DataError(
-                        f"{path}: header {got} does not match schema columns {want}"
-                    )
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, expected a header")
+            got = [h.strip().lower() for h in header]
+            want = [n.lower() for n in schema.names()]
+            if got != want:
+                raise DataError(
+                    f"{path}: header {got} does not match schema columns {want}"
+                )
             for record in reader:
                 if not record:
                     continue
@@ -369,10 +343,10 @@ def parse_csv(path, schema, opts=IngestOptions()):
                     masks[i].append(row_nulls[i])
     finally:
         csv.field_size_limit(old_limit)
-    if records_seen and malformed / records_seen > opts.max_malformed_fraction:
+    if records_seen and malformed / records_seen > max_malformed_fraction:
         raise DataError(
             f"{path}: {malformed}/{records_seen} malformed records exceeds "
-            f"max_malformed_fraction={opts.max_malformed_fraction}"
+            f"max_malformed_fraction={max_malformed_fraction}"
         )
     columns = {
         f.name: Column(f.dtype, values[i], np.array(masks[i], dtype=bool))
@@ -382,29 +356,6 @@ def parse_csv(path, schema, opts=IngestOptions()):
     if malformed:
         logger.info("parsed %s: %d records, %d malformed skipped", path, records_seen, malformed)
     return ParseResult(table, records_seen, malformed, examples)
-
-
-def write_csv(table, path, opts=IngestOptions()):
-    """Serialize a Table back to CSV; nulls become empty fields."""
-    for f in table.schema.fields:
-        if f.dtype not in CSV_DTYPES:
-            raise ConfigError(f"column {f.name!r}: dtype {f.dtype} is not CSV-serializable")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=opts.delimiter, quotechar=opts.quote)
-        if opts.has_header:
-            writer.writerow(table.column_names())
-        cols = [table.column(n) for n in table.column_names()]
-        for i in range(table.row_count):
-            row = []
-            for col in cols:
-                v = col.value_at(i)
-                if v is None:
-                    row.append("")
-                elif col.dtype == "float64":
-                    row.append(repr(v))
-                else:
-                    row.append(str(v))
-            writer.writerow(row)
 
 
 def join_inner(left, right, left_key, right_key):
@@ -464,27 +415,6 @@ def split_random(table, train_fraction, seed):
     train_idx = np.nonzero(draws < train_fraction)[0]
     test_idx = np.nonzero(draws >= train_fraction)[0]
     return table.take(train_idx), table.take(test_idx)
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    min: float | None
-    max: float | None
-    mean: float | None
-    non_null_count: int
-
-
-def column_stats(table, name):
-    """Min/max/mean over non-null values of a numeric column."""
-    col = table.column(name)
-    if col.dtype not in ("int64", "float64"):
-        raise DataError(f"column {name!r} is not numeric")
-    vals = col.non_null_values()
-    if vals.shape[0] == 0:
-        return ColumnStats(None, None, None, 0)
-    return ColumnStats(
-        float(vals.min()), float(vals.max()), float(vals.mean()), int(vals.shape[0])
-    )
 
 
 TABLE_FORMAT_VERSION = 1

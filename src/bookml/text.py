@@ -107,15 +107,9 @@ def count_matrix(index, docs):
     return X
 
 
-def idf_weights(doc_freq, corpus_size=None):
-    """Smoothed inverse document frequency: ln((N + 1) / (df + 1)).
-
-    Accepts a Vocabulary or an explicit (doc_freq, corpus_size) pair.
-    """
-    if isinstance(doc_freq, Vocabulary):
-        vocab = doc_freq
-        doc_freq, corpus_size = vocab.doc_freq, vocab.corpus_size
-    if corpus_size is None or corpus_size < 1:
+def idf_weights(doc_freq, corpus_size):
+    """Smoothed inverse document frequency ln((N + 1) / (df + 1)) of N = corpus_size docs."""
+    if corpus_size < 1:
         raise DataError("corpus_size must be at least 1")
     df = np.asarray(doc_freq, dtype=np.float64)
     return np.log((corpus_size + 1.0) / (df + 1.0))

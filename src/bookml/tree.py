@@ -19,13 +19,11 @@ A tree is a set of flat arrays over its nodes in depth-first preorder
 gives each row's leaf node, whose value is the prediction.
 """
 
-import math
-import sys
-
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import DataError
+from .persist import is_count, is_finite_number, is_int, model_from_doc
 from .validation import (
     as_feature_matrix,
     as_label_array,
@@ -101,11 +99,11 @@ class Tree:
             if parent >= 0:
                 right[parent] = i
             right.append(-1)
-            if not isinstance(node, dict) or not _is_count(node.get("n")):
+            if not isinstance(node, dict) or not is_count(node.get("n")):
                 raise DataError(f"{name} node {i} needs an int n >= 1")
             if "feature" in node:
                 f, thr, gain = node["feature"], node.get("threshold"), node.get("gain")
-                if not (_is_int(f) and 0 <= f < dim and is_finite_number(thr)
+                if not (is_int(f) and 0 <= f < dim and is_finite_number(thr)
                         and is_finite_number(gain) and "left" in node and "right" in node):
                     raise DataError(f"{name} split node {i} needs an int feature in [0, {dim}), "
                                     "a finite threshold and gain, and both children")
@@ -127,44 +125,9 @@ class Tree:
         return cls(feature, threshold, gain, n_samples, right, value)
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_count(value):
-    """An int in [1, 2**63): a node's row count or a model's dimension."""
-    return _is_int(value) and 1 <= value < 2**63
-
-
-def is_finite_number(value):
-    """A JSON number that is a finite float64."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return _is_int(value) and abs(value) <= sys.float_info.max
-
-
-def model_from_doc(cls, doc, *keys):
-    """An unfitted cls built from a tree model document's params, with dim_ set.
-
-    The document must be an object holding params, dim and keys; params
-    must name exactly cls's parameters, and dim must be an int >= 1.
-    """
-    if not isinstance(doc, dict) or any(key not in doc for key in ("params", "dim", *keys)):
-        raise DataError(f"{cls.__name__} document needs keys {['params', 'dim', *keys]}")
-    params, names = doc["params"], cls._param_names()
-    if not isinstance(params, dict) or sorted(params) != sorted(names):
-        got = sorted(params) if isinstance(params, dict) else type(params).__name__
-        raise DataError(f"{cls.__name__} params must be exactly {sorted(names)}, got {got}")
-    if not _is_count(doc["dim"]):
-        raise DataError(f"{cls.__name__} dim must be an int >= 1, got {doc['dim']!r}")
-    model = cls(**params)
-    model.dim_ = doc["dim"]
-    return model
-
-
 def num_classes_from_doc(doc):
     """A tree classifier document's num_classes, checked to be an int >= 1."""
-    if not _is_count(doc["num_classes"]):
+    if not is_count(doc["num_classes"]):
         raise DataError(f"num_classes must be an int >= 1, got {doc['num_classes']!r}")
     return doc["num_classes"]
 
@@ -521,11 +484,6 @@ class DecisionTreeClassifier(BaseEstimator):
 
     def predict(self, X):
         return np.argmax(self.predict_proba(X), axis=1)
-
-    def predict_one(self, x):
-        """(label, class distribution) for one row."""
-        dist = self.predict_proba(x)[0]
-        return int(np.argmax(dist)), dist
 
     def to_json(self):
         check_is_fitted(self, "tree_")

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from .errors import DataError
+from .persist import is_int
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,13 @@ class BlockMap:
 
     @classmethod
     def from_json(cls, doc):
+        """The block map of to_json's list; DataError unless every entry is well formed."""
+        if not isinstance(doc, list) or not all(
+                isinstance(d, dict) and sorted(d) == ["length", "name", "offset"]
+                and isinstance(d["name"], str) and is_int(d["offset"]) and is_int(d["length"])
+                for d in doc):
+            raise DataError("block map must be a list of {name, offset, length} objects "
+                            "with a string name and int offset and length")
         return cls(Block(d["name"], d["offset"], d["length"]) for d in doc)
 
     def __eq__(self, other):

@@ -595,11 +595,14 @@ class TestProbeBlockChecks:
 
 # tests/data/*_v1.model.json were written with this recipe: logistic and dtree
 # by the code before feature rows became plain dicts, rforest and gbt by the
-# code before trees became flat arrays; see tests/data/README.md.
+# code before trees became flat arrays, svc, als and als_implicit by the code
+# before min-max scaling moved into its stage; see tests/data/README.md.
 FIXTURE_SYNTH = ["--rows", "400", "--seed", "3"]
 FIXTURE_TRAIN = ["--tuning", "tvs", "--vocab-size", "32", "--seed", "3"]
 FIXTURE_TREE_MODELS = ["dtree", "rforest", "gbt"]
-FIXTURE_MODELS = ["logistic", *FIXTURE_TREE_MODELS]
+FIXTURE_LINEAR_MODELS = ["logistic", "svc"]
+FIXTURE_CLASSIFIERS = [*FIXTURE_LINEAR_MODELS, *FIXTURE_TREE_MODELS]
+FIXTURE_MODELS = [*FIXTURE_CLASSIFIERS, "als", "als_implicit"]
 
 
 class TestCheckedInArtifacts:
@@ -636,13 +639,20 @@ class TestCheckedInArtifacts:
         fixture = read_json(FIXTURES / f"{model}_v1.model.json")
         assert fresh_artifact(model)["probes"] == fixture["probes"]
 
-    @pytest.mark.parametrize("model", FIXTURE_TREE_MODELS)
+    @pytest.mark.parametrize("model", FIXTURE_CLASSIFIERS)
+    def test_fresh_train_writes_fixture_pipeline(self, fresh_artifact, model):
+        # Every stage's fitted state, min-max ranges included, bit for bit.
+        fixture = read_json(FIXTURES / f"{model}_v1.model.json")
+        assert fresh_artifact(model)["pipeline"] == fixture["pipeline"]
+
+    @pytest.mark.parametrize("model", FIXTURE_MODELS)
     def test_fresh_train_writes_fixture_model(self, fresh_artifact, model):
-        # The grower must build the same trees, node for node and bit for bit.
+        # Training must fit the same model: trees node for node, weights and
+        # factors bit for bit.
         fixture = read_json(FIXTURES / f"{model}_v1.model.json")
         assert fresh_artifact(model)["model"] == fixture["model"]
 
-    @pytest.mark.parametrize("model", FIXTURE_TREE_MODELS)
+    @pytest.mark.parametrize("model", FIXTURE_MODELS)
     def test_fixture_model_round_trips(self, model):
         from bookml.persist import model_from_json
 
@@ -746,6 +756,54 @@ CLASSIFIER_MODEL_MUTATIONS = {
 }
 
 
+def _weights(mutate):
+    return lambda m: mutate(m["weights"])
+
+
+# Malformed linear model documents (logistic and svc): verify-model must exit 3.
+LINEAR_DOC_MUTATIONS = {
+    "missing weights": lambda m: _drop_key(m, "weights"),
+    "missing intercepts": lambda m: _drop_key(m, "intercepts"),
+    "missing training": lambda m: _drop_key(m, "training"),
+    "missing num_classes": lambda m: _drop_key(m, "num_classes"),
+    "missing format_version": lambda m: _drop_key(m, "format_version"),
+    "format_version 2": _set("format_version", 2),
+    "bool format_version": _set("format_version", True),
+    "weights row one entry short": _weights(lambda w: w[0].pop()),
+    "weights a row short": _weights(lambda w: w.pop()),
+    "weights a row long": _weights(lambda w: w.append(list(w[0]))),
+    "weights not a list": _set("weights", 1.0),
+    "NaN weight": _weights(lambda w: w[0].__setitem__(0, float("nan"))),
+    "infinite weight": _weights(lambda w: w[-1].__setitem__(-1, float("-inf"))),
+    "string weight": _weights(lambda w: w[0].__setitem__(0, "0.5")),
+    "null weight": _weights(lambda w: w[0].__setitem__(0, None)),
+    "bool weight": _weights(lambda w: w[0].__setitem__(0, True)),
+    "intercepts one short": lambda m: m["intercepts"].pop(),
+    "nested intercepts": lambda m: m.update(intercepts=[m["intercepts"]]),
+    "NaN intercept": lambda m: m["intercepts"].__setitem__(0, float("nan")),
+    "string intercept": lambda m: m["intercepts"].__setitem__(0, "1"),
+    "dim wider than the weights": lambda m: m.update(dim=m["dim"] + 1),
+    "dim narrower than the weights": lambda m: m.update(dim=m["dim"] - 1),
+    "string dim": _set("dim", "34"),
+    "zero dim": _set("dim", 0),
+    "one class": _set("num_classes", 1),
+    "three classes": _set("num_classes", 3),
+    "float num_classes": _set("num_classes", 2.0),
+    "params not an object": _set("params", None),
+    "unknown param": lambda m: m["params"].update(extra=1),
+    "missing param": lambda m: _drop_key(m["params"], "l2_reg"),
+    "training not an object": _set("training", [100, 0.1]),
+    "missing iterations": lambda m: _drop_key(m["training"], "iterations"),
+    "negative iterations": lambda m: m["training"].update(iterations=-1),
+    "float iterations": lambda m: m["training"].update(iterations=100.0),
+    "NaN final_objective": lambda m: m["training"].update(final_objective=float("nan")),
+    "string final_objective": lambda m: m["training"].update(final_objective="0.1"),
+    "extra training key": lambda m: m["training"].update(extra=1),
+}
+LINEAR_MODEL_CASES = [(kind, name) for kind in FIXTURE_LINEAR_MODELS
+                      for name in sorted(LINEAR_DOC_MUTATIONS)]
+
+
 def _stages(mutate):
     def apply(artifact):
         mutate(artifact["pipeline"]["stages"])
@@ -772,6 +830,62 @@ PIPELINE_MUTATIONS = {
     "stage without state": _on_stage(lambda s: _drop_key(s, "state")),
     "state not an object": _on_stage(_set("state", [])),
 }
+
+
+def _state(stage_type, mutate):
+    """Mutate the state of the first stage of stage_type."""
+    return _stages(lambda stages: mutate(
+        next(s for s in stages if s["type"] == stage_type)["state"]))
+
+
+# Malformed stage states of a classifier artifact's pipeline: verify-model must exit 3.
+PIPELINE_MUTATIONS.update({
+    "count_tokens empty state": _state("count_tokens", dict.clear),
+    "count_tokens extra key": _state("count_tokens", lambda s: s.update(extra=1)),
+    "count_tokens term not a string": _state("count_tokens", lambda s: s["terms"].__setitem__(0, 7)),
+    "count_tokens terms not a list": _state("count_tokens", _set("terms", "great")),
+    "count_tokens duplicate term": _state(
+        "count_tokens", lambda s: s["terms"].__setitem__(1, s["terms"][0])),
+    "count_tokens doc_freq a term short": _state("count_tokens", lambda s: s["doc_freq"].pop()),
+    "count_tokens zero doc_freq": _state("count_tokens", lambda s: s["doc_freq"].__setitem__(0, 0)),
+    "count_tokens doc_freq above corpus_size": _state(
+        "count_tokens", lambda s: s["doc_freq"].__setitem__(0, s["corpus_size"] + 1)),
+    "count_tokens string doc_freq": _state(
+        "count_tokens", lambda s: s["doc_freq"].__setitem__(0, "3")),
+    "count_tokens zero corpus_size": _state("count_tokens", _set("corpus_size", 0)),
+    "count_tokens float corpus_size": _state("count_tokens", _set("corpus_size", 300.0)),
+    "filter_stopwords missing stopwords": _state(
+        "filter_stopwords", lambda s: _drop_key(s, "stopwords")),
+    "filter_stopwords stopwords not a list": _state("filter_stopwords", _set("stopwords", "the")),
+    "filter_stopwords number stopword": _state(
+        "filter_stopwords", lambda s: s["stopwords"].__setitem__(0, 1)),
+    "weight_idf missing weights": _state("weight_idf", dict.clear),
+    "weight_idf weights a term short": _state("weight_idf", lambda s: s["weights"].pop()),
+    "weight_idf NaN weight": _state("weight_idf", lambda s: s["weights"].__setitem__(0, float("nan"))),
+    "weight_idf string weight": _state("weight_idf", lambda s: s["weights"].__setitem__(0, "1")),
+    "weight_idf weights not a list": _state("weight_idf", _set("weights", {"a": 1.0})),
+    "scale_minmax min above max": _state(
+        "scale_minmax", lambda s: s.update(min=s["max"] + 1.0)),
+    "scale_minmax NaN min": _state("scale_minmax", _set("min", float("nan"))),
+    "scale_minmax infinite max": _state("scale_minmax", _set("max", float("inf"))),
+    "scale_minmax string max": _state("scale_minmax", _set("max", "10")),
+    "scale_minmax missing max": _state("scale_minmax", lambda s: _drop_key(s, "max")),
+    "tokenize state not empty": _state("tokenize", lambda s: s.update(vocab=[])),
+    "assemble block_map not a list": _state("assemble", _set("block_map", {})),
+    "assemble entry not an object": _state(
+        "assemble", lambda s: s["block_map"].__setitem__(0, "price_norm")),
+    "assemble entry without length": _state(
+        "assemble", lambda s: _drop_key(s["block_map"][0], "length")),
+    "assemble string offset": _state(
+        "assemble", lambda s: s["block_map"][1].update(offset="1")),
+    "assemble offset gap": _state(
+        "assemble", lambda s: s["block_map"][1].update(offset=s["block_map"][1]["offset"] + 1)),
+    "assemble negative length": _state(
+        "assemble", lambda s: s["block_map"][0].update(length=-1)),
+    "assemble block renamed": _state(
+        "assemble", lambda s: s["block_map"][0].update(name="other")),
+    "assemble block dropped": _state("assemble", lambda s: s["block_map"].pop()),
+})
 
 
 class TestClassifierArtifactChecks:
@@ -827,6 +941,48 @@ class TestClassifierArtifactChecks:
         PIPELINE_MUTATIONS[name](artifact)
         code, err = self.verify(tmp_path, capsys, artifact)
         assert code == 3 and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind,name", LINEAR_MODEL_CASES)
+    def test_malformed_linear_model_is_data_error(self, tmp_path, capsys, kind, name):
+        artifact = read_json(FIXTURES / f"{kind}_v1.model.json")
+        LINEAR_DOC_MUTATIONS[name](artifact["model"])
+        code, err = self.verify(tmp_path, capsys, artifact)
+        assert code == 3 and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.fixture(scope="class")
+    def linear_artifacts(self):
+        return {kind: read_json(FIXTURES / f"{kind}_v1.model.json")
+                for kind in FIXTURE_LINEAR_MODELS}
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_linear_model_is_data_error(self, tmp_path, capsys, linear_artifacts, data):
+        kind = data.draw(st.sampled_from(FIXTURE_LINEAR_MODELS))
+        artifact = copy.deepcopy(linear_artifacts[kind])
+        model = artifact["model"]
+        action = data.draw(st.sampled_from(["drop", "retype", "truncate", "ragged", "nonfinite"]))
+        if action in ("drop", "retype"):
+            # A key of the model document or of its training block.
+            doc = data.draw(st.sampled_from([model, model["training"]]))
+            key = data.draw(st.sampled_from(sorted(doc)))
+            if action == "drop":
+                del doc[key]
+            else:
+                doc[key] = data.draw(st.sampled_from(
+                    [None, True, "x", {"a": 1}, [[1.0]]]).filter(lambda v: v != doc[key]))
+        else:
+            rows = data.draw(st.sampled_from([model["weights"], [model["intercepts"]]]))
+            i = data.draw(st.integers(0, len(rows) - 1))
+            if action == "truncate":
+                del rows[i][data.draw(st.integers(0, len(rows[i]) - 1))]
+            elif action == "ragged":
+                rows[i].append(0.5)
+            else:
+                j = data.draw(st.integers(0, len(rows[i]) - 1))
+                rows[i][j] = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+        code, err = self.verify(tmp_path, capsys, artifact)
+        assert code == 3 and err.startswith("error: ")
 
 
 class TestRequestPath:
@@ -943,6 +1099,34 @@ class TestConfigFile:
         code = main([*command, "--out", str(prepared), "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_malformed_fraction_range_rejected_before_loading(self, tmp_path, fraction):
+        # The CSVs do not exist: a config error must come before the data error.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_malformed_fraction": fraction}), encoding="utf-8")
+        code = main(["prepare", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--ratings-csv", str(tmp_path / "r.csv"),
+                     "--books-csv", str(tmp_path / "b.csv")])
+        assert code == 2
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["prepare", "--ratings-csv", "missing-r.csv", "--books-csv", "missing-b.csv"],
+        ["train", "--model", "logistic"],
+        ["compare"],
+        ["recommend", "--user", "u1"],
+        ["verify-model"],
+    ])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_naming_a_file_rejected_before_loading(self, tmp_path, capsys, command, below):
+        # --out names an existing file, or a path below one; nothing is read.
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        out = taken / "run" if below else taken
+        code = main([*command, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
     def test_sample_rows_in_config_honoured_by_prepare(self, corpus, tmp_path):
         root, stats = corpus
         cfg = tmp_path / "cfg.json"
@@ -1019,15 +1203,35 @@ class TestTreeDeterminism:
 
 
 class TestSynthCommand:
+    @pytest.mark.parametrize("flags", [
+        ["--rows", "-5"],
+        ["--rows", "0"],
+        ["--correlation", "2"],
+        ["--correlation", "-0.1"],
+        ["--correlation", "nan"],
+        ["--missing-price-rate", "1.5"],
+        ["--malformed-rate", "-1"],
+    ])
+    def test_out_of_range_flags_rejected(self, tmp_path, capsys, flags):
+        code = main(["synth", "--out", str(tmp_path / "corpus"), *flags])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ")
+        assert not (tmp_path / "corpus").exists()
+
+    def test_out_naming_a_file_rejected(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["synth", "--out", str(taken), "--rows", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_accounting_exact(self, tmp_path):
-        from bookml import IngestOptions, parse_csv
+        from bookml import parse_csv
         from bookml.table import ratings_schema
 
         stats = generate_corpus(tmp_path, n_ratings=2000, seed=3,
                                 malformed_rate=0.005, stress_rate=0.05)
         assert stats.malformed_written > 0
-        res = parse_csv(stats.ratings_path, ratings_schema(),
-                        IngestOptions(max_malformed_fraction=0.05))
+        res = parse_csv(stats.ratings_path, ratings_schema(), max_malformed_fraction=0.05)
         assert res.malformed_records == stats.malformed_written
         assert res.records_seen == stats.n_ratings
         assert res.table.row_count == stats.n_ratings - stats.malformed_written

@@ -107,14 +107,16 @@ class TestGradientBoosting:
             SEPARABLE_X, SEPARABLE_Y
         )
         model.initial_score_ = 2.0
-        label, prob = model.predict_one(np.array([0.0]))
+        row = np.array([[0.0]])
+        label, prob = model.predict(row)[0], model.predict_proba(row)[0]
         assert label == 1
         assert prob == pytest.approx(0.880797, abs=1e-6)
 
     def test_zero_score_labels_zero(self):
         model = GradientBoostedTreesClassifier(num_iters=0).fit(SEPARABLE_X, SEPARABLE_Y)
         model.initial_score_ = 0.0
-        label, prob = model.predict_one(np.array([0.0]))
+        row = np.array([[0.0]])
+        label, prob = model.predict(row)[0], model.predict_proba(row)[0]
         assert (label, prob) == (0, 0.5)
 
     def test_antisymmetry_label_flip(self, rng):

@@ -13,18 +13,17 @@ PUBLIC_NAMES = [
     "ALSExplicit", "ALSImplicit", "AssembleColumns", "BaseEstimator", "BlockImportances",
     "BlockMap", "BookmlError", "ConfigError", "CountTokens", "DataError",
     "DecisionTreeClassifier", "Field", "FilterStopwords",
-    "GradientBoostedTreesClassifier", "IngestOptions", "InteractionSet", "LinearSVC",
-    "LogisticRegressionClassifier", "MetricsReport", "MinMaxState", "NotFittedError",
+    "GradientBoostedTreesClassifier", "InteractionSet", "LinearSVC",
+    "LogisticRegressionClassifier", "MetricsReport", "NotFittedError",
     "NumericError", "Pipeline", "RandomForestClassifier", "ScaleMinMax", "Schema", "Stage",
     "Table", "TokenizeText", "TuneResult", "Vocabulary", "WeightIdf",
-    "best_split", "binarize_label", "block_importances", "build_interactions",
-    "check_is_fitted", "column_stats", "cross_validate", "evaluate_binary",
+    "best_split", "block_importances", "build_interactions",
+    "check_is_fitted", "cross_validate",
     "evaluate_holdout", "evaluate_multiclass", "evaluate_regression", "expand_grid",
-    "fit_count_vectorizer", "fit_minmax", "gini", "idf_weights", "join_inner",
+    "fit_count_vectorizer", "gini", "idf_weights", "join_inner",
     "kfold_indices", "load_table", "logistic_objective", "parse_csv", "per_user_holdout",
-    "pipeline_fit_transform", "remove_stopwords", "save_table",
+    "remove_stopwords", "save_table",
     "split_random", "stack_vectors", "tokenize", "train_validation_split",
-    "transform_minmax", "write_csv",
 ]
 
 

@@ -105,7 +105,8 @@ class TestLogisticPrediction:
         m.fit(SEPARABLE_X, SEPARABLE_Y)
         m.weights_ = np.zeros_like(m.weights_)
         m.intercepts_ = np.zeros_like(m.intercepts_)
-        label, probs = m.predict_one(np.array([3.0]))
+        row = np.array([[3.0]])
+        label, probs = m.predict(row)[0], m.predict_proba(row)[0]
         assert label == 0
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
@@ -115,7 +116,8 @@ class TestLogisticPrediction:
         )
         m.weights_ = np.array([[0.0], [10.0]])
         m.intercepts_ = np.zeros(2)
-        label, probs = m.predict_one(np.array([1.0]))
+        row = np.array([[1.0]])
+        label, probs = m.predict(row)[0], m.predict_proba(row)[0]
         assert label == 1
         assert probs[1] > 0.9999
 
@@ -179,14 +181,16 @@ class TestLinearSVC:
         m = LinearSVC(max_iters=1).fit(SEPARABLE_X, SEPARABLE_Y)
         m.weights_ = np.zeros_like(m.weights_)
         m.intercepts_ = np.zeros_like(m.intercepts_)
-        label, margin = m.predict_one(np.array([2.0]))
+        row = np.array([[2.0]])
+        label, margin = m.predict(row)[0], m.decision_function(row)[0]
         assert (label, margin) == (0, 0.0)
 
     def test_margin_arithmetic(self):
         m = LinearSVC(max_iters=1).fit(SEPARABLE_X, SEPARABLE_Y)
         m.weights_ = np.array([[1.0]])
         m.intercepts_ = np.array([0.0])
-        label, margin = m.predict_one(np.array([2.0]))
+        row = np.array([[2.0]])
+        label, margin = m.predict(row)[0], m.decision_function(row)[0]
         assert (label, margin) == (1, 2.0)
 
     def test_decision_invariant_under_positive_scaling(self, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bookml import DataError, evaluate_binary, evaluate_multiclass, evaluate_regression
+from bookml import DataError, evaluate_multiclass, evaluate_regression
 
 
 def oracle_metrics(preds, truth, k):
@@ -93,17 +93,21 @@ class TestMulticlass:
 
 class TestBinary:
     def test_equals_multiclass_k2(self, rng):
+        # Binary evaluation is evaluate_multiclass with K = 2: its confusion
+        # matrix holds [[TN, FP], [FN, TP]] and accuracy is their diagonal share.
         for _ in range(100):
             n = int(rng.integers(1, 40))
             truth = rng.integers(0, 2, n)
             preds = rng.integers(0, 2, n)
-            assert evaluate_binary(preds, truth).as_dict() == \
-                evaluate_multiclass(preds, truth, 2).as_dict()
+            rep = evaluate_multiclass(preds, truth, 2)
+            counts = [[int(((truth == t) & (preds == p)).sum()) for p in (0, 1)] for t in (0, 1)]
+            assert rep.confusion.tolist() == counts
+            assert rep.accuracy == (counts[0][0] + counts[1][1]) / n
 
     def test_imbalanced_constant_predictor(self):
         truth = np.array([0] * 90 + [1] * 10)
         preds = np.zeros(100, dtype=int)
-        rep = evaluate_binary(preds, truth)
+        rep = evaluate_multiclass(preds, truth, 2)
         assert rep.accuracy == pytest.approx(0.9)
         assert rep.weighted_recall == pytest.approx(0.9)
 

@@ -11,7 +11,6 @@ from bookml import (
     Pipeline,
     Table,
     idf_weights,
-    pipeline_fit_transform,
 )
 from bookml.pipeline import (
     AssembleColumns,
@@ -33,12 +32,12 @@ def text_chain(vocab_size=16, min_df=1):
 
 
 def test_empty_stage_list_is_identity(two_doc_table):
-    model, out = pipeline_fit_transform([], two_doc_table)
+    out = Pipeline([]).fit_transform(two_doc_table)
     assert out.equals(two_doc_table)
 
 
 def test_text_chain_on_two_docs(two_doc_table):
-    model, out = pipeline_fit_transform(text_chain(), two_doc_table)
+    out = Pipeline(text_chain()).fit_transform(two_doc_table)
     assert out.row_count == 2
     vec = out.column("tfidf").value_at(0)
     # doc "a b a": a has tf 2 and df 1 -> 2*ln(1.5); b appears in both docs -> 0
@@ -46,7 +45,8 @@ def test_text_chain_on_two_docs(two_doc_table):
 
 
 def test_transform_is_pure(two_doc_table):
-    model, first = pipeline_fit_transform(text_chain(), two_doc_table)
+    model = Pipeline(text_chain())
+    first = model.fit_transform(two_doc_table)
     second = model.transform(two_doc_table)
     third = model.transform(two_doc_table)
     for out in (second, third):
@@ -84,7 +84,8 @@ def test_assemble_stage_and_block_map(ratings_fixture):
         CountTokens("tokens", "counts", vocab_size=8, min_df=1),
         AssembleColumns(["price_norm", "time_norm", "counts"], "features"),
     ]
-    model, out = pipeline_fit_transform(stages, ratings_fixture)
+    model = Pipeline(stages)
+    out = model.fit_transform(ratings_fixture)
     assembler = model.stages[-1]
     assert assembler.block_map_.names() == ["price_norm", "time_norm", "counts"]
     assert assembler.block_map_.dim == 2 + 8
@@ -100,7 +101,7 @@ def test_row_count_preserved_for_every_chain(ratings_fixture):
         [ScaleMinMax("price", "p")],
     ]
     for stages in chains:
-        _, out = pipeline_fit_transform(stages, ratings_fixture)
+        out = Pipeline(stages).fit_transform(ratings_fixture)
         assert out.row_count == ratings_fixture.row_count
 
 
@@ -113,7 +114,8 @@ def test_json_roundtrip_bit_exact(ratings_fixture):
         WeightIdf("counts", "tfidf"),
         AssembleColumns(["price_norm", "tfidf"], "features"),
     ]
-    model, expected = pipeline_fit_transform(stages, ratings_fixture)
+    model = Pipeline(stages)
+    expected = model.fit_transform(ratings_fixture)
     doc = json.dumps(model.to_json())
     clone = Pipeline.from_json(json.loads(doc))
     out = clone.transform(ratings_fixture)
@@ -129,7 +131,8 @@ def test_json_roundtrip_bit_exact(ratings_fixture):
 
 
 def test_idf_stage_refits_dfs_from_counts(two_doc_table):
-    model, out = pipeline_fit_transform(text_chain(), two_doc_table)
+    model = Pipeline(text_chain())
+    out = model.fit_transform(two_doc_table)
     idf_stage = model.stages[-1]
     # terms: a (df 1), b (df 2), c (df 1) over 2 docs
     np.testing.assert_allclose(
