@@ -50,8 +50,6 @@ _MODULE_EXPORTS = {
         "train_validation_split",
     ),
     "table": (
-        "Field",
-        "Schema",
         "Table",
         "join_inner",
         "load_table",

@@ -38,12 +38,12 @@ from .recommend import ALSExplicit, ALSImplicit, build_interactions, evaluate_ho
 from .selection import SELECTION_METRICS, cross_validate, train_validation_split
 from .synth import generate_corpus
 from .table import (
+    BOOKS_COLUMNS,
+    RATINGS_COLUMNS,
     Table,
-    books_schema,
     join_inner,
     load_table,
     parse_csv,
-    ratings_schema,
     save_table,
     split_random,
 )
@@ -198,8 +198,8 @@ def cmd_prepare(cfg):
             raise DataError(f"{path}: input CSV not found")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ratings = parse_csv(cfg.ratings_csv, ratings_schema(), cfg.max_malformed_fraction)
-    books = parse_csv(cfg.books_csv, books_schema(), cfg.max_malformed_fraction)
+    ratings = parse_csv(cfg.ratings_csv, RATINGS_COLUMNS, cfg.max_malformed_fraction)
+    books = parse_csv(cfg.books_csv, BOOKS_COLUMNS, cfg.max_malformed_fraction)
     joined = join_inner(ratings.table, books.table, "title", "title")
     if joined.row_count == 0:
         raise DataError("join produced zero rows; do the two files share titles?")
@@ -705,8 +705,8 @@ def _probe_table(probes):
     lengths = {len(col["values"]) for col in inputs.values()}
     if len(lengths) != 1 or 0 in lengths:
         raise DataError("probe inputs must hold the same nonzero number of rows")
-    schema = [(name, col["dtype"], True) for name, col in inputs.items()]
-    return Table.build(schema, {name: col["values"] for name, col in inputs.items()})
+    columns = [(name, col["dtype"], True) for name, col in inputs.items()]
+    return Table.build(columns, {name: col["values"] for name, col in inputs.items()})
 
 
 def _verify_classifier(artifact, probes):
@@ -876,22 +876,14 @@ def build_parser():
     return parser
 
 
-CONFIG_KEYS = (
-    "ratings_csv", "books_csv", "out_dir", "sample_rows", "label_mode", "model",
-    "tuning", "cv_k", "tvs_ratio", "metric", "seed", "vocab_size", "min_df",
-    "use_review_text", "als_rank", "als_reg", "als_sweeps", "als_alpha",
-)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":
             cmd_synth(args)
             return 0
-        overrides = {
-            key: getattr(args, key) for key in CONFIG_KEYS if hasattr(args, key)
-        }
+        overrides = {f.name: getattr(args, f.name)
+                     for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
         cfg = load_config(args.config, overrides)
         _check_out_dir(cfg.out_dir)
         # Only prepare samples; --sample-rows exists on prepare alone, so a

@@ -369,7 +369,7 @@ class Pipeline(BaseEstimator):
 
     def _check_inputs(self, stage, idx, table):
         for name in stage.input_columns():
-            if name not in table.schema:
+            if name not in table.columns:
                 raise DataError(
                     f"stage {idx} ({STAGE_NAMES[type(stage)]}): missing input column {name!r}"
                 )

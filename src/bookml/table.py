@@ -1,5 +1,9 @@
 """Immutable typed columnar tables with CSV ingestion and basic relational ops.
 
+A Table is an ordered ``name -> Column`` map plus its row count. Each Column
+describes itself: its dtype, values, null mask and whether it is declared
+nullable. Columns are declared as plain ``(name, dtype, nullable)`` triples.
+
 CSV-facing columns are text / int64 / float64 with per-column null masks.
 Pipelines may additionally carry in-memory-only "tokens" and "vector"
 columns, which cannot be parsed from or persisted to CSV. A "tokens" column
@@ -18,6 +22,7 @@ completion marker) plus per-column binary arrays, see ``save_table``.
 import csv
 import json
 import logging
+import tokenize
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,71 +32,37 @@ from .errors import ConfigError, DataError
 logger = logging.getLogger(__name__)
 
 CSV_DTYPES = ("text", "int64", "float64")
-ALL_DTYPES = CSV_DTYPES + ("tokens", "vector")
 
 # Quoted review text can exceed the default 128 KiB csv field limit.
 _CSV_FIELD_LIMIT = 1 << 24
 
 
-@dataclass(frozen=True)
-class Field:
-    name: str
-    dtype: str
-    nullable: bool = True
+def _check_columns(columns):
+    """Declared columns as a list of (name, dtype, nullable) triples.
 
-    def __post_init__(self):
-        if self.dtype not in ALL_DTYPES:
-            raise ConfigError(f"unknown dtype {self.dtype!r}")
-        if not self.name:
-            raise ConfigError("column name must be non-empty")
-
-
-class Schema:
-    """Ordered, uniquely named, typed column declarations."""
-
-    def __init__(self, fields):
-        self.fields = tuple(
-            f if isinstance(f, Field) else Field(*f) for f in fields
-        )
-        if not self.fields:
-            raise ConfigError("schema needs at least one column")
-        names = [f.name for f in self.fields]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate column names in schema: {names}")
-        self._by_name = {f.name: i for i, f in enumerate(self.fields)}
-
-    def names(self):
-        return [f.name for f in self.fields]
-
-    def __contains__(self, name):
-        return name in self._by_name
-
-    def __getitem__(self, name):
-        return self.fields[self._by_name[name]]
-
-    def __len__(self):
-        return len(self.fields)
-
-    def __eq__(self, other):
-        return isinstance(other, Schema) and self.fields == other.fields
-
-    def to_json(self):
-        return [
-            {"name": f.name, "dtype": f.dtype, "nullable": f.nullable}
-            for f in self.fields
-        ]
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(Field(d["name"], d["dtype"], d["nullable"]) for d in doc)
+    ConfigError for an empty list, an empty name, a duplicate name or a
+    nullable that is not a bool; each Column checks its own dtype.
+    """
+    columns = [(name, dtype, nullable) for name, dtype, nullable in columns]
+    names = [name for name, _, _ in columns]
+    if not columns:
+        raise ConfigError("a table needs at least one column")
+    if not all(names):
+        raise ConfigError("column name must be non-empty")
+    if not all(isinstance(nullable, bool) for _, _, nullable in columns):
+        raise ConfigError("a column's nullable must be true or false")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate column names: {names}")
+    return columns
 
 
 class Column:
-    """One typed value array plus a null mask (True = null) and whether it has any."""
+    """One typed value array, a null mask (True = null), whether it has any
+    nulls and whether its declaration allows them."""
 
-    __slots__ = ("dtype", "values", "mask", "has_nulls")
+    __slots__ = ("dtype", "values", "mask", "has_nulls", "nullable")
 
-    def __init__(self, dtype, values, mask):
+    def __init__(self, dtype, values, mask, nullable=True):
         self.dtype = dtype
         if dtype in ("int64", "float64"):
             np_dtype = np.int64 if dtype == "int64" else np.float64
@@ -104,15 +75,20 @@ class Column:
                 raise DataError("a vector column is backed by one CSR matrix")
             for arr in (values.data, values.indices, values.indptr):
                 arr.flags.writeable = False
-        else:
+        elif dtype in ("text", "tokens"):
             values = tuple(values)
+        else:
+            raise ConfigError(f"unknown dtype {dtype!r}")
         mask = np.asarray(mask, dtype=bool).copy()
         mask.flags.writeable = False
         self.values = values
         self.mask = mask
         self.has_nulls = bool(mask.any())
+        self.nullable = nullable
         if len(self) != mask.shape[0]:
             raise DataError("column values and null mask lengths differ")
+        if self.has_nulls and not nullable:
+            raise DataError(f"non-nullable {dtype} column contains nulls")
 
     def __len__(self):
         return self.values.shape[0] if self.dtype == "vector" else len(self.values)
@@ -123,7 +99,7 @@ class Column:
             vals = self.values[idx]
         else:
             vals = tuple(self.values[i] for i in idx.tolist())
-        return Column(self.dtype, vals, self.mask[idx])
+        return Column(self.dtype, vals, self.mask[idx], self.nullable)
 
     def value_at(self, i):
         """Value at row i, or None when null."""
@@ -142,7 +118,7 @@ class Column:
         return v
 
     def equals(self, other):
-        if self.dtype != other.dtype or len(self) != len(other):
+        if (self.dtype, self.nullable, len(self)) != (other.dtype, other.nullable, len(other)):
             return False
         if not np.array_equal(self.mask, other.mask):
             return False
@@ -170,92 +146,74 @@ def _null_fill(dtype):
 
 
 class Table:
-    """Immutable columnar dataset; every op returns a new Table."""
+    """Immutable columnar dataset: an ordered ``name -> Column`` map plus
+    the row count every column has. Every op returns a new Table."""
 
-    def __init__(self, schema, columns, row_count):
-        self.schema = schema
-        self._columns = dict(columns)
+    def __init__(self, columns, row_count):
+        self.columns = dict(columns)
         self.row_count = int(row_count)
-        if set(self._columns) != set(schema.names()):
-            raise DataError("columns do not match schema")
-        for f in schema.fields:
-            col = self._columns[f.name]
-            if col.dtype != f.dtype:
-                raise DataError(f"column {f.name!r} dtype mismatch")
+        for name, col in self.columns.items():
             if len(col) != self.row_count:
-                raise DataError(f"column {f.name!r} length != row_count")
-            if not f.nullable and col.has_nulls:
-                raise DataError(f"non-nullable column {f.name!r} contains nulls")
+                raise DataError(f"column {name!r} length != row_count")
 
     @classmethod
-    def build(cls, schema, data):
-        """Construct from {name: sequence}, with None marking nulls.
+    def build(cls, columns, data):
+        """Construct from (name, dtype, nullable) triples and {name: sequence},
+        with None marking nulls.
 
         Build vector columns with ``with_column`` from a CSR matrix.
         """
-        if not isinstance(schema, Schema):
-            schema = Schema(schema)
-        columns = {}
-        row_count = None
-        for f in schema.fields:
-            raw = list(data[f.name])
-            if row_count is None:
-                row_count = len(raw)
+        built = {}
+        for name, dtype, nullable in _check_columns(columns):
+            raw = list(data[name])
             mask = np.array([v is None for v in raw], dtype=bool)
-            fill = _null_fill(f.dtype)
-            vals = [fill if v is None else v for v in raw]
-            columns[f.name] = Column(f.dtype, vals, mask)
-        return cls(schema, columns, row_count or 0)
+            fill = _null_fill(dtype)
+            built[name] = Column(dtype, [fill if v is None else v for v in raw], mask, nullable)
+        return cls(built, len(next(iter(built.values()))))
 
     def column(self, name):
-        if name not in self.schema:
+        col = self.columns.get(name)
+        if col is None:
             raise DataError(f"no such column: {name!r}")
-        return self._columns[name]
-
-    def column_names(self):
-        return self.schema.names()
+        return col
 
     def take(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
-        cols = {name: col.take(idx) for name, col in self._columns.items()}
-        return Table(self.schema, cols, idx.shape[0])
+        cols = {name: col.take(idx) for name, col in self.columns.items()}
+        return Table(cols, idx.shape[0])
 
     def head(self, n):
         n = min(n, self.row_count)
         return self.take(np.arange(n))
 
     def with_column(self, name, dtype, values, mask=None):
-        """New table with one column appended (or replaced if name exists).
+        """New table with one column appended (or replaced and moved last);
+        it is declared nullable exactly when it holds nulls.
 
         values is a sequence, or a CSR matrix for a "vector" column.
         """
         if mask is None:
             mask = np.zeros(self.row_count, dtype=bool)
         col = Column(dtype, values, mask)
-        if len(col) != self.row_count:
-            raise DataError("new column length != row_count")
-        fields = [f for f in self.schema.fields if f.name != name]
-        fields.append(Field(name, dtype, nullable=col.has_nulls))
-        cols = {k: v for k, v in self._columns.items() if k != name}
+        col.nullable = col.has_nulls
+        cols = dict(self.columns)
+        cols.pop(name, None)
         cols[name] = col
-        return Table(Schema(fields), cols, self.row_count)
+        return Table(cols, self.row_count)
 
     def select(self, names):
-        fields = [self.schema[n] for n in names]
-        cols = {n: self._columns[n] for n in names}
-        return Table(Schema(fields), cols, self.row_count)
+        return Table({n: self.column(n) for n in names}, self.row_count)
 
     def equals(self, other):
-        if not isinstance(other, Table) or self.schema != other.schema:
+        """Same names in the same order, dtypes, nullability and values."""
+        if not isinstance(other, Table) or self.row_count != other.row_count:
             return False
-        if self.row_count != other.row_count:
-            return False
-        return all(
-            self._columns[n].equals(other._columns[n]) for n in self.schema.names()
+        return list(self.columns) == list(other.columns) and all(
+            col.equals(other.columns[name]) for name, col in self.columns.items()
         )
 
     def __repr__(self):
-        cols = ", ".join(f"{f.name}:{f.dtype}" for f in self.schema.fields)
+        cols = ", ".join(f"{name}:{col.dtype}" for name, col in self.columns.items())
         return f"Table({self.row_count} rows; {cols})"
 
 
@@ -284,19 +242,21 @@ def _decode_cell(raw, dtype, nullable):
     return value, False, True
 
 
-def parse_csv(path, schema, max_malformed_fraction=0.01):
-    """Stream a comma-separated file with a header row into a Table under schema.
+def parse_csv(path, columns, max_malformed_fraction=0.01):
+    """Stream a comma-separated file with a header row into a Table of the
+    declared (name, dtype, nullable) columns.
 
     Quoted fields may contain commas and line breaks (RFC-4180 quoting,
-    doubled quotes escape). Records whose field count mismatches the schema,
-    or with an undecodable cell in a non-nullable column, are counted as
-    malformed and skipped; the parse fails if their fraction exceeds
-    max_malformed_fraction.
+    doubled quotes escape). Records whose field count mismatches the
+    columns, or with an undecodable cell in a non-nullable column, are
+    counted as malformed and skipped; the parse fails if their fraction
+    exceeds max_malformed_fraction. Bytes that are not UTF-8 fail it too.
     """
-    for f in schema.fields:
-        if f.dtype not in CSV_DTYPES:
-            raise ConfigError(f"column {f.name!r}: dtype {f.dtype} is not CSV-ingestable")
-    n_cols = len(schema)
+    columns = _check_columns(columns)
+    for name, dtype, _ in columns:
+        if dtype not in CSV_DTYPES:
+            raise ConfigError(f"column {name!r}: dtype {dtype} is not CSV-ingestable")
+    n_cols = len(columns)
     values = [[] for _ in range(n_cols)]
     masks = [[] for _ in range(n_cols)]
     records_seen = 0
@@ -311,10 +271,10 @@ def parse_csv(path, schema, max_malformed_fraction=0.01):
             except StopIteration:
                 raise DataError(f"{path}: empty file, expected a header")
             got = [h.strip().lower() for h in header]
-            want = [n.lower() for n in schema.names()]
+            want = [name.lower() for name, _, _ in columns]
             if got != want:
                 raise DataError(
-                    f"{path}: header {got} does not match schema columns {want}"
+                    f"{path}: header {got} does not match the declared columns {want}"
                 )
             for record in reader:
                 if not record:
@@ -326,8 +286,8 @@ def parse_csv(path, schema, max_malformed_fraction=0.01):
                         examples.append(f"record {records_seen}: {len(record)} fields, expected {n_cols}")
                     continue
                 row_vals, row_nulls, ok = [], [], True
-                for raw, f in zip(record, schema.fields):
-                    value, is_null, cell_ok = _decode_cell(raw, f.dtype, f.nullable)
+                for raw, (_, dtype, nullable) in zip(record, columns):
+                    value, is_null, cell_ok = _decode_cell(raw, dtype, nullable)
                     if not cell_ok:
                         ok = False
                         break
@@ -341,6 +301,12 @@ def parse_csv(path, schema, max_malformed_fraction=0.01):
                 for i in range(n_cols):
                     values[i].append(row_vals[i])
                     masks[i].append(row_nulls[i])
+    except UnicodeDecodeError as exc:
+        # The file decodes a block at a time, so the bad byte lies in the
+        # record reached or a later one.
+        raise DataError(
+            f"{path}: invalid UTF-8 at or after record {records_seen + 1} ({exc.reason})"
+        ) from None
     finally:
         csv.field_size_limit(old_limit)
     if records_seen and malformed / records_seen > max_malformed_fraction:
@@ -348,11 +314,11 @@ def parse_csv(path, schema, max_malformed_fraction=0.01):
             f"{path}: {malformed}/{records_seen} malformed records exceeds "
             f"max_malformed_fraction={max_malformed_fraction}"
         )
-    columns = {
-        f.name: Column(f.dtype, values[i], np.array(masks[i], dtype=bool))
-        for i, f in enumerate(schema.fields)
-    }
-    table = Table(schema, columns, records_seen - malformed)
+    table = Table(
+        {name: Column(dtype, values[i], np.array(masks[i], dtype=bool), nullable)
+         for i, (name, dtype, nullable) in enumerate(columns)},
+        records_seen - malformed,
+    )
     if malformed:
         logger.info("parsed %s: %d records, %d malformed skipped", path, records_seen, malformed)
     return ParseResult(table, records_seen, malformed, examples)
@@ -367,9 +333,9 @@ def join_inner(left, right, left_key, right_key):
     duplicate matches expanded in right row order.
     """
     for t, k, side in ((left, left_key, "left"), (right, right_key, "right")):
-        if k not in t.schema:
+        if k not in t.columns:
             raise DataError(f"{side} key column {k!r} missing")
-        if t.schema[k].dtype != "text":
+        if t.columns[k].dtype != "text":
             raise DataError(f"{side} key column {k!r} must be text")
     rkey = right.column(right_key)
     matches = {}
@@ -387,21 +353,17 @@ def join_inner(left, right, left_key, right_key):
     left_idx = np.asarray(left_idx, dtype=np.int64)
     right_idx = np.asarray(right_idx, dtype=np.int64)
 
-    fields = list(left.schema.fields)
-    columns = {f.name: left.column(f.name).take(left_idx) for f in fields}
-    taken = {f.name for f in fields}
-    for f in right.schema.fields:
-        if f.name == right_key:
+    columns = {name: col.take(left_idx) for name, col in left.columns.items()}
+    for right_name, col in right.columns.items():
+        if right_name == right_key:
             continue
-        name = f.name
-        while name in taken:
+        name = right_name
+        while name in columns:
             name = name + "_r"
-        if name != f.name:
-            logger.warning("join: right column %r renamed to %r", f.name, name)
-        taken.add(name)
-        fields.append(Field(name, f.dtype, f.nullable))
-        columns[name] = right.column(f.name).take(right_idx)
-    return Table(Schema(fields), columns, left_idx.shape[0])
+        if name != right_name:
+            logger.warning("join: right column %r renamed to %r", right_name, name)
+        columns[name] = col.take(right_idx)
+    return Table(columns, left_idx.shape[0])
 
 
 def split_random(table, train_fraction, seed):
@@ -433,12 +395,11 @@ def save_table(table, path):
 
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    for i, f in enumerate(table.schema.fields):
-        if f.dtype not in CSV_DTYPES:
-            raise ConfigError(f"column {f.name!r}: dtype {f.dtype} is in-memory only")
-        col = table.column(f.name)
+    for i, (name, col) in enumerate(table.columns.items()):
+        if col.dtype not in CSV_DTYPES:
+            raise ConfigError(f"column {name!r}: dtype {col.dtype} is in-memory only")
         np.save(out / f"c{i}.mask.npy", col.mask)
-        if f.dtype == "text":
+        if col.dtype == "text":
             blobs = [v.encode("utf-8") for v in col.values]
             offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
             np.cumsum([len(b) for b in blobs], out=offsets[1:])
@@ -449,70 +410,97 @@ def save_table(table, path):
     doc = {
         "format_version": TABLE_FORMAT_VERSION,
         "row_count": table.row_count,
-        "columns": table.schema.to_json(),
+        "columns": [{"name": name, "dtype": col.dtype, "nullable": col.nullable}
+                    for name, col in table.columns.items()],
     }
     (out / "schema.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
 
 
+def _load_column(src, i, dtype, nullable, row_count):
+    """Column i of a saved table, every array checked whole against dtype and row_count."""
+
+    def array(suffix, np_dtype, length):
+        try:
+            arr = np.load(src / f"c{i}.{suffix}")
+        except (OSError, ValueError, EOFError, SyntaxError, tokenize.TokenError) as exc:
+            # What np.load raises on a missing, truncated or corrupt file;
+            # it parses a .npy header as a Python literal.
+            raise DataError(f"c{i}.{suffix}: unreadable ({type(exc).__name__}: {exc})") from None
+        if arr.dtype != np_dtype or arr.shape != (length,):
+            raise DataError(
+                f"c{i}.{suffix} must hold {length} {np_dtype}, got {arr.dtype} {arr.shape}")
+        return arr
+
+    mask = array("mask.npy", "bool", row_count)
+    if dtype != "text":
+        return Column(dtype, array("npy", dtype, row_count), mask, nullable)
+    offsets = array("offsets.npy", "int64", row_count + 1)
+    blob = (src / f"c{i}.data.bin").read_bytes()
+    if offsets[0] != 0 or offsets[-1] != len(blob) or np.any(offsets[1:] < offsets[:-1]):
+        raise DataError(f"c{i}.offsets.npy must rise from 0 to the text's {len(blob)} bytes")
+    bounds = offsets.tolist()
+    try:
+        text = [blob[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"c{i}.data.bin: invalid UTF-8 ({exc.reason})") from None
+    return Column(dtype, text, mask, nullable)
+
+
 def load_table(path):
+    """Read a table that ``save_table`` wrote. A schema.json or column file
+    that does not hold one raises DataError naming the path."""
     from pathlib import Path
 
+    from .persist import is_int
+
     src = Path(path)
+
+    def fail(msg):
+        return DataError(f"{path}: {msg}")
+
     meta_path = src / "schema.json"
     if not meta_path.exists():
-        raise DataError(f"{path}: not a table artifact (schema.json missing)")
-    doc = json.loads(meta_path.read_text(encoding="utf-8"))
-    if doc.get("format_version") != TABLE_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported table format {doc.get('format_version')!r}")
-    schema = Schema.from_json(doc["columns"])
-    row_count = doc["row_count"]
+        raise fail("not a table artifact (schema.json missing)")
+    try:
+        doc = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise fail(f"unreadable schema.json ({exc})") from None
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if not is_int(version) or version != TABLE_FORMAT_VERSION:
+        raise fail(f"unsupported table format {version!r}")
+    row_count, entries = doc.get("row_count"), doc.get("columns")
+    if not is_int(row_count) or row_count < 0:
+        raise fail(f"row_count must be an int >= 0, got {row_count!r}")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and sorted(e) == ["dtype", "name", "nullable"]
+            and isinstance(e["name"], str) and e["dtype"] in CSV_DTYPES
+            and isinstance(e["nullable"], bool) for e in entries):
+        raise fail("columns must be {name, dtype, nullable} entries of CSV dtypes")
+    try:
+        declared = _check_columns((e["name"], e["dtype"], e["nullable"]) for e in entries)
+    except ConfigError as exc:
+        raise fail(exc) from None
     columns = {}
-    for i, f in enumerate(schema.fields):
-        mask = np.load(src / f"c{i}.mask.npy")
-        if f.dtype == "text":
-            offsets = np.load(src / f"c{i}.offsets.npy")
-            blob = (src / f"c{i}.data.bin").read_bytes()
-            vals = [
-                blob[offsets[j] : offsets[j + 1]].decode("utf-8")
-                for j in range(row_count)
-            ]
-        else:
-            vals = np.load(src / f"c{i}.npy")
-        columns[f.name] = Column(f.dtype, vals, mask)
-    return Table(schema, columns, row_count)
+    for i, (name, dtype, nullable) in enumerate(declared):
+        try:
+            columns[name] = _load_column(src, i, dtype, nullable, row_count)
+        except (DataError, OSError) as exc:
+            raise fail(f"column {name!r}: {exc}") from None
+    return Table(columns, row_count)
 
 
-def books_schema():
-    """Schema of the book-metadata CSV."""
-    return Schema(
-        [
-            Field("title", "text", nullable=False),
-            Field("description", "text"),
-            Field("authors", "text"),
-            Field("image", "text"),
-            Field("preview", "text"),
-            Field("publisher", "text"),
-            Field("publish_date", "int64"),
-            Field("info_link", "text"),
-            Field("categories", "text"),
-            Field("ratings_count", "int64"),
-        ]
-    )
+# The book-metadata CSV's columns.
+BOOKS_COLUMNS = (
+    ("title", "text", False), ("description", "text", True), ("authors", "text", True),
+    ("image", "text", True), ("preview", "text", True), ("publisher", "text", True),
+    ("publish_date", "int64", True), ("info_link", "text", True),
+    ("categories", "text", True), ("ratings_count", "int64", True),
+)
 
-
-def ratings_schema():
-    """Schema of the review/ratings CSV; price arrives as text."""
-    return Schema(
-        [
-            Field("id", "int64"),
-            Field("title", "text"),
-            Field("price", "text"),
-            Field("user_id", "text"),
-            Field("profile_name", "text"),
-            Field("r_helpfulness", "text"),
-            Field("r_score", "int64"),
-            Field("r_time", "int64"),
-            Field("r_summary", "text"),
-            Field("r_review", "text"),
-        ]
-    )
+# The review/ratings CSV's columns; price arrives as text.
+RATINGS_COLUMNS = (
+    ("id", "int64", True), ("title", "text", True), ("price", "text", True),
+    ("user_id", "text", True), ("profile_name", "text", True),
+    ("r_helpfulness", "text", True), ("r_score", "int64", True), ("r_time", "int64", True),
+    ("r_summary", "text", True), ("r_review", "text", True),
+)

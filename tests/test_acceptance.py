@@ -41,7 +41,7 @@ from bookml.pipeline import (
 )
 from bookml.report import importance_table
 from bookml.synth import NEUTRAL_WORDS, generate_corpus, write_ratings_csv
-from bookml.table import parse_csv, ratings_schema
+from bookml.table import RATINGS_COLUMNS, parse_csv
 from bookml.validation import stack_vectors
 
 from test_linear import finite_difference_gradient
@@ -382,7 +382,7 @@ def test_criterion_10_ingestion_robustness(tmp_path):
     stats = generate_corpus(tmp_path / "stress", n_ratings=4000, seed=9,
                             malformed_rate=0.005, stress_rate=0.05)
     assert stats.malformed_written > 0
-    res = parse_csv(stats.ratings_path, ratings_schema(), max_malformed_fraction=0.05)
+    res = parse_csv(stats.ratings_path, RATINGS_COLUMNS, max_malformed_fraction=0.05)
     assert res.malformed_records == stats.malformed_written
     assert res.table.row_count == stats.n_ratings - stats.malformed_written
 
@@ -392,7 +392,7 @@ def test_criterion_10_ingestion_robustness(tmp_path):
     size_mb = big.stat().st_size / 1e6
     assert size_mb >= 100
     parse_started = time.perf_counter()
-    big_res = parse_csv(big, ratings_schema())
+    big_res = parse_csv(big, RATINGS_COLUMNS)
     parse_elapsed = time.perf_counter() - parse_started
     assert parse_elapsed < 60
     assert big_res.table.row_count == big_res.records_seen

@@ -1226,12 +1226,12 @@ class TestSynthCommand:
 
     def test_malformed_accounting_exact(self, tmp_path):
         from bookml import parse_csv
-        from bookml.table import ratings_schema
+        from bookml.table import RATINGS_COLUMNS
 
         stats = generate_corpus(tmp_path, n_ratings=2000, seed=3,
                                 malformed_rate=0.005, stress_rate=0.05)
         assert stats.malformed_written > 0
-        res = parse_csv(stats.ratings_path, ratings_schema(), max_malformed_fraction=0.05)
+        res = parse_csv(stats.ratings_path, RATINGS_COLUMNS, max_malformed_fraction=0.05)
         assert res.malformed_records == stats.malformed_written
         assert res.records_seen == stats.n_ratings
         assert res.table.row_count == stats.n_ratings - stats.malformed_written

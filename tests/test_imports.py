@@ -12,10 +12,10 @@ from bookml.synth import generate_corpus
 PUBLIC_NAMES = [
     "ALSExplicit", "ALSImplicit", "AssembleColumns", "BaseEstimator", "BlockImportances",
     "BlockMap", "BookmlError", "ConfigError", "CountTokens", "DataError",
-    "DecisionTreeClassifier", "Field", "FilterStopwords",
+    "DecisionTreeClassifier", "FilterStopwords",
     "GradientBoostedTreesClassifier", "InteractionSet", "LinearSVC",
     "LogisticRegressionClassifier", "MetricsReport", "NotFittedError",
-    "NumericError", "Pipeline", "RandomForestClassifier", "ScaleMinMax", "Schema", "Stage",
+    "NumericError", "Pipeline", "RandomForestClassifier", "ScaleMinMax", "Stage",
     "Table", "TokenizeText", "TuneResult", "Vocabulary", "WeightIdf",
     "best_split", "block_importances", "build_interactions",
     "check_is_fitted", "cross_validate",
