@@ -22,6 +22,13 @@ class BaseEstimator:
             if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         ]
 
+    def check_params(self):
+        """Raise DataError if a parameter lies outside its valid range.
+
+        fit makes this check; a config can make it before any data loads.
+        The base estimator has no ranges to check.
+        """
+
     def get_params(self):
         return {name: getattr(self, name) for name in self._param_names()}
 

@@ -108,6 +108,8 @@ class RunConfig:
             raise ConfigError("vocab_size and min_df must be at least 1")
         if not 0.0 <= self.max_malformed_fraction <= 1.0:
             raise ConfigError("max_malformed_fraction must lie in [0, 1]")
+        if self.sample_rows is not None and self.sample_rows < 1:
+            raise ConfigError("sample_rows must be at least 1")
         # The library makes these checks too, but only once the prepared
         # table is loaded; a config error must come before any data.
         if self.cv_k < 2:
@@ -121,6 +123,8 @@ class RunConfig:
             raise ConfigError("rank must be >= 1, reg >= 0, sweeps >= 0")
         if self.als_alpha <= 0:
             raise ConfigError("alpha must be positive for implicit feedback")
+        if self.model in CLASSIFIER_MODELS and self.grid is not None:
+            _check_grid(type(make_estimator(self, None)), self.grid)
         return self
 
     def effective(self):
@@ -143,6 +147,30 @@ def _check_type(path, key, value, annotation):
         return
     names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
     raise ConfigError(f"{path}: {key} must be {names}, got {type(value).__name__}")
+
+
+def _check_grid(cls, grid):
+    """ConfigError unless each grid axis is a nonempty list of valid values.
+
+    An axis must name a parameter of the estimator class cls. Its values
+    must have the type of that parameter's default, as _check_type takes it
+    (a None default takes None or an int), and pass cls.check_params.
+    """
+    defaults = cls().get_params()
+    for name, values in grid.items():
+        if name not in defaults:
+            raise ConfigError(f"grid: {cls.__name__} has no parameter {name!r}; "
+                              f"valid parameters: {sorted(defaults)}")
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid: axis {name!r} must be a nonempty list")
+        default = defaults[name]
+        annotation = int | None if default is None else type(default)
+        for value in values:
+            _check_type("grid", name, value, annotation)
+            try:
+                cls(**{name: value}).check_params()
+            except DataError as exc:
+                raise ConfigError(f"grid: {name}={value!r}: {exc}") from None
 
 
 def load_config(path, overrides):

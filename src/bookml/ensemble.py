@@ -46,13 +46,16 @@ class RandomForestClassifier(BaseEstimator):
         self.seed = seed
         self.trees_ = None
 
+    def check_params(self):
+        if self.num_trees < 1:
+            raise DataError("num_trees must be positive")
+
     def fit(self, X, y):
         X = densify(X)
         y = as_label_array(y, X.shape[0])
         if X.shape[0] == 0:
             raise DataError("cannot fit on zero rows")
-        if self.num_trees < 1:
-            raise DataError("num_trees must be positive")
+        self.check_params()
         k = int(self.num_classes) if self.num_classes else int(y.max()) + 1
         check_labels_in_range(y, k)
         n, d = X.shape
@@ -154,6 +157,10 @@ class GradientBoostedTreesClassifier(BaseEstimator):
         self.seed = seed
         self.trees_ = None
 
+    def check_params(self):
+        if self.num_iters < 0 or self.learning_rate <= 0:
+            raise DataError("invalid boosting configuration")
+
     def fit(self, X, y):
         X = densify(X)
         y = as_label_array(y, X.shape[0])
@@ -162,8 +169,7 @@ class GradientBoostedTreesClassifier(BaseEstimator):
         check_labels_in_range(y, 2)
         if np.unique(y).shape[0] < 2:
             raise DataError("training labels contain a single class")
-        if self.num_iters < 0 or self.learning_rate <= 0:
-            raise DataError("invalid boosting configuration")
+        self.check_params()
         yf = y.astype(np.float64)
         p = yf.mean()
         self.initial_score_ = float(np.log(p / (1.0 - p)))

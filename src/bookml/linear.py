@@ -6,6 +6,13 @@ descent with backtracking step halving. The linear SVC minimizes mean hinge
 loss plus the same penalty by subgradient descent on a step/sqrt(t)
 schedule, returning the best iterate visited. Both accept dense or CSR
 feature matrices and are bitwise deterministic for fixed inputs.
+
+The logistic objective holds its scores class-major (a C-ordered k x n
+array), so one max, one exp and one sum over the classes serve both the
+loss and the residual. For k <= 7 classes its loss and gradients are bit
+for bit those of the row-major n x k form; from k = 8 numpy sums a row of
+the n x k form pairwise, and the last bit can differ. The SVC builds the
+CSR transpose of a sparse X once per fit.
 """
 
 import numpy as np
@@ -31,11 +38,6 @@ def softmax(scores):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax(scores):
-    z = scores - scores.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def logistic_objective(weights, intercepts, X, y, l2_reg):
     """Mean negative log-likelihood plus (l2/2)*||W||^2, with its gradient.
 
@@ -48,12 +50,20 @@ def logistic_objective(weights, intercepts, X, y, l2_reg):
     n, k = X.shape[0], weights.shape[0]
     check_labels_in_range(y, k)
     check_matching_dim(weights.shape[1], X)
-    scores = row_scores(X, weights, intercepts)
-    logp = log_softmax(scores)
-    loss = -logp[np.arange(n), y].mean() + 0.5 * l2_reg * float((weights**2).sum())
-    resid = softmax(scores)
-    resid[np.arange(n), y] -= 1.0
+    # Class-major: z[c, i] is row i's score for class c less the row's
+    # largest score, so each reduction over the classes adds whole rows.
+    z = np.ascontiguousarray((X @ weights.T).T)
+    z += intercepts[:, None]
+    z -= z.max(axis=0)
+    resid = np.exp(z)
+    total = resid.sum(axis=0)
+    rows = np.arange(n)
+    loss = -(z[y, rows] - np.log(total)).mean() + 0.5 * l2_reg * float((weights**2).sum())
+    resid /= total
+    resid[y, rows] -= 1.0
     resid /= n
+    # Back to row-major for the products, so grad_b adds the rows in order.
+    resid = np.ascontiguousarray(resid.T)
     grad_w = np.asarray((X.T @ resid).T) + l2_reg * weights
     grad_b = resid.sum(axis=0)
     return loss, grad_w, grad_b
@@ -78,13 +88,16 @@ class LogisticRegressionClassifier(BaseEstimator):
         self.seed = seed
         self.weights_ = None
 
+    def check_params(self):
+        if self.max_iters < 1 or self.step_size <= 0 or self.tol <= 0 or self.l2_reg < 0:
+            raise DataError("invalid training configuration")
+
     def fit(self, X, y):
         X = as_feature_matrix(X)
         y = as_label_array(y, X.shape[0])
         if X.shape[0] == 0:
             raise DataError("cannot fit on zero rows")
-        if self.max_iters < 1 or self.step_size <= 0 or self.tol <= 0 or self.l2_reg < 0:
-            raise DataError("invalid training configuration")
+        self.check_params()
         k = int(self.num_classes) if self.num_classes else int(y.max()) + 1
         if k < 2:
             raise DataError("need at least 2 classes")
@@ -187,6 +200,10 @@ class LinearSVC(BaseEstimator):
         self.seed = seed
         self.weights_ = None
 
+    def check_params(self):
+        if self.max_iters < 1 or self.step_size <= 0 or self.l2_reg < 0:
+            raise DataError("invalid training configuration")
+
     def fit(self, X, y):
         X = as_feature_matrix(X)
         y = as_label_array(y, X.shape[0])
@@ -195,9 +212,11 @@ class LinearSVC(BaseEstimator):
         check_labels_in_range(y, 2)
         if np.unique(y).shape[0] < 2:
             raise DataError("training labels contain a single class")
-        if self.max_iters < 1 or self.step_size <= 0 or self.l2_reg < 0:
-            raise DataError("invalid training configuration")
+        self.check_params()
         n, d = X.shape
+        # As CSR, X.T @ coef adds each feature's terms in row order, as a
+        # product with the CSC view X.T does.
+        XT = X.T.tocsr() if hasattr(X, "tocsr") else X.T
         ysign = np.where(y == 1, 1.0, -1.0)
         w = np.zeros(d)
         b = 0.0
@@ -208,7 +227,7 @@ class LinearSVC(BaseEstimator):
             viol = margins < 1.0
             if viol.any():
                 coef = np.where(viol, ysign, 0.0) / n
-                grad_w = self.l2_reg * w - np.asarray(X.T @ coef).ravel()
+                grad_w = self.l2_reg * w - XT @ coef
                 grad_b = -float(coef.sum())
             else:
                 grad_w = self.l2_reg * w

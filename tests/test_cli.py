@@ -603,6 +603,21 @@ FIXTURE_TREE_MODELS = ["dtree", "rforest", "gbt"]
 FIXTURE_LINEAR_MODELS = ["logistic", "svc"]
 FIXTURE_CLASSIFIERS = [*FIXTURE_LINEAR_MODELS, *FIXTURE_TREE_MODELS]
 FIXTURE_MODELS = [*FIXTURE_CLASSIFIERS, "als", "als_implicit"]
+# Checked-in reports: the command that writes each (run on the recipe's
+# prepared table) and the report file it writes.
+FIXTURE_REPORTS = {
+    "compare_v1.report.json": (["compare"], "compare_report.json"),
+    "svc_cv_v1.report.json": (["train", "--model", "svc", "--tuning", "cv"],
+                              "train_report.json"),
+}
+
+
+def strip_report(doc):
+    """A report without its wall times and the paths its config echoes."""
+    doc = strip_wall_times(doc)
+    for key in ("ratings_csv", "books_csv", "out_dir"):
+        del doc["config"][key]
+    return doc
 
 
 class TestCheckedInArtifacts:
@@ -651,6 +666,14 @@ class TestCheckedInArtifacts:
         # factors bit for bit.
         fixture = read_json(FIXTURES / f"{model}_v1.model.json")
         assert fresh_artifact(model)["model"] == fixture["model"]
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURE_REPORTS))
+    def test_fresh_run_writes_fixture_report(self, recipe_run, fixture):
+        # Every metric, tuning candidate and confusion count, bit for bit.
+        command, report = FIXTURE_REPORTS[fixture]
+        assert main([*command, "--out", str(recipe_run), "--vocab-size", "32",
+                     "--seed", "3"]) == 0
+        assert strip_report(read_json(recipe_run / report)) == read_json(FIXTURES / fixture)
 
     @pytest.mark.parametrize("model", FIXTURE_MODELS)
     def test_fixture_model_round_trips(self, model):
@@ -1126,6 +1149,55 @@ class TestConfigFile:
         code = main([*command, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("model, grid", [
+        ("logistic", {"nope": [1]}),
+        ("logistic", {"l2_reg": ["a"]}),
+        ("logistic", {"l2_reg": [True]}),
+        ("logistic", {"max_iters": [0]}),
+        ("logistic", {"max_iters": [1.5]}),
+        ("logistic", {"num_classes": ["3"]}),
+        ("logistic", {"tol": [0]}),
+        ("logistic", {"max_iters": 100}),
+        ("logistic", {"max_iters": []}),
+        ("svc", {"step_size": [-1.0]}),
+        ("svc", {"l2_reg": [0.0, -0.1]}),
+        ("dtree", {"max_depth": ["deep"]}),
+        ("rforest", {"num_trees": [-1]}),
+        ("rforest", {"bootstrap": [1]}),
+        ("gbt", {"learning_rate": [0]}),
+        ("gbt", {"num_iters": [-1]}),
+    ])
+    def test_bad_grid_rejected_before_loading(self, tmp_path, capsys, model, grid):
+        # No prepared table exists here: a config error must come first.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": grid}), encoding="utf-8")
+        code = main(["train", "--out", str(tmp_path / "fresh"), "--model", model,
+                     "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: grid: ")
+
+    @pytest.mark.parametrize("grid", [
+        {"l2_reg": [1, 0.5], "max_iters": [10]},
+        {"num_classes": [None, 5], "seed": [0]},
+        {},
+    ])
+    def test_valid_grid_accepted(self, tmp_path, grid):
+        from bookml.cli import load_config
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": grid}), encoding="utf-8")
+        assert load_config(str(cfg), {}).grid == grid
+
+    @pytest.mark.parametrize("rows", ["-3", "0"])
+    def test_nonpositive_sample_rows_rejected_before_loading(self, tmp_path, capsys, rows):
+        # The CSVs do not exist: a config error must come before the data error.
+        code = main(["prepare", "--out", str(tmp_path / "run"), "--sample-rows", rows,
+                     "--ratings-csv", str(tmp_path / "r.csv"),
+                     "--books-csv", str(tmp_path / "b.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and "sample_rows" in err
+        assert not (tmp_path / "run").exists()
 
     def test_sample_rows_in_config_honoured_by_prepare(self, corpus, tmp_path):
         root, stats = corpus

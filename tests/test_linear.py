@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from bookml import DataError, LinearSVC, LogisticRegressionClassifier, logistic_objective
+from bookml import linear
 from bookml.linear import hinge_objective, softmax
 
 from conftest import make_blobs
@@ -206,3 +209,143 @@ class TestLinearSVC:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             LinearSVC().fit(np.ones((3, 1)), np.ones(3, dtype=int))
+
+
+# Reference implementations: the row-major logistic objective (scores as an
+# n x k array, separate log-softmax and softmax passes) and the SVC loop
+# that transposed X on every iteration, as the library had them before the
+# class-major layout. The library must reproduce them bit for bit.
+
+
+def row_major_objective(weights, intercepts, X, y, l2_reg):
+    n = X.shape[0]
+    scores = np.asarray(X @ weights.T) + intercepts
+    z = scores - scores.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = -logp[np.arange(n), y].mean() + 0.5 * l2_reg * float((weights**2).sum())
+    z = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    resid = e / e.sum(axis=1, keepdims=True)
+    resid[np.arange(n), y] -= 1.0
+    resid /= n
+    grad_w = np.asarray((X.T @ resid).T) + l2_reg * weights
+    grad_b = resid.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def reference_svc_fit(X, y, l2_reg, step_size=1.0, max_iters=200, tol=1e-9):
+    """(weights, intercept, objective trace) of the per-iteration-transpose loop."""
+    n, d = X.shape
+    ysign = np.where(y == 1, 1.0, -1.0)
+    w = np.zeros(d)
+    b = 0.0
+    obj, margins = hinge_objective(w, b, X, ysign, l2_reg)
+    best_obj, best_w, best_b = obj, w.copy(), b
+    trace = [obj]
+    for t in range(1, max_iters + 1):
+        viol = margins < 1.0
+        if viol.any():
+            coef = np.where(viol, ysign, 0.0) / n
+            grad_w = l2_reg * w - np.asarray(X.T @ coef).ravel()
+            grad_b = -float(coef.sum())
+        else:
+            grad_w = l2_reg * w
+            grad_b = 0.0
+        if float(np.sqrt(grad_w @ grad_w + grad_b**2)) < tol:
+            break
+        eta = step_size / np.sqrt(t)
+        w = w - eta * grad_w
+        b = b - eta * grad_b
+        obj, margins = hinge_objective(w, b, X, ysign, l2_reg)
+        trace.append(obj)
+        if obj < best_obj:
+            best_obj, best_w, best_b = obj, w.copy(), b
+    return best_w, best_b, np.asarray(trace)
+
+
+def objective_case(k, n, d, seed, ties, scale, sparse):
+    """Weights, intercepts, features and labels for one objective evaluation.
+
+    About a quarter of the rows are all zeros, so their scores are the
+    intercepts alone. ties "pair" gives classes 0 and 1 equal scores on
+    every row; "all" zeroes the intercepts, so every class ties on the zero
+    rows. scale sets the score magnitude (30 underflows some exps).
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.4)
+    X[rng.random(n) < 0.25] = 0.0
+    W = rng.normal(size=(k, d)) * scale
+    b = rng.normal(size=k) * scale
+    if ties == "pair":
+        W[1], b[1] = W[0], b[0]
+    elif ties == "all":
+        b[:] = 0.0
+    y = rng.integers(0, k, n)
+    return W, b, sp.csr_matrix(X) if sparse else X, y
+
+
+CASES = dict(n=st.integers(1, 300), d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+             ties=st.sampled_from(["none", "pair", "all"]), scale=st.sampled_from([0.1, 1.0, 30.0]),
+             sparse=st.booleans())
+
+
+class TestClassMajorObjective:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(2, 7), **CASES)
+    def test_bit_identical_to_row_major_up_to_7_classes(self, k, n, d, seed, ties, scale,
+                                                         sparse):
+        W, b, X, y = objective_case(k, n, d, seed, ties, scale, sparse)
+        loss, gw, gb = logistic_objective(W, b, X, y, 0.01)
+        ref_loss, ref_gw, ref_gb = row_major_objective(W, b, X, y, 0.01)
+        assert loss == ref_loss
+        assert np.array_equal(gw, ref_gw)
+        assert np.array_equal(gb, ref_gb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(8, 12), **CASES)
+    def test_within_1e12_of_row_major_from_8_classes(self, k, n, d, seed, ties, scale,
+                                                      sparse):
+        # numpy sums an n x k row pairwise from 8 wide, the class-major
+        # layout adds the classes in order: only the last bits may differ.
+        W, b, X, y = objective_case(k, n, d, seed, ties, scale, sparse)
+        got = logistic_objective(W, b, X, y, 0.01)
+        ref = row_major_objective(W, b, X, y, 0.01)
+        for a, r in zip(got, ref):
+            assert np.abs(a - r).max() <= 1e-12 * max(np.abs(r).max(), 1e-300)
+
+
+def fit_case(k, sparse, seed=7, n=500, d=30):
+    """A sparse nonnegative matrix with labels from a noisy linear rule."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d)) * (rng.random((n, d)) < 0.25)
+    y = np.argmax(X @ rng.normal(size=(d, k)) + rng.normal(scale=0.5, size=(n, k)), axis=1)
+    return (sp.csr_matrix(X) if sparse else X), y
+
+
+class TestFitsMatchReference:
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_logistic_fit(self, monkeypatch, k, sparse):
+        X, y = fit_case(k, sparse)
+
+        def fit():
+            return LogisticRegressionClassifier(num_classes=k, l2_reg=0.01,
+                                                max_iters=150).fit(X, y)
+
+        model = fit()
+        monkeypatch.setattr(linear, "logistic_objective", row_major_objective)
+        ref = fit()
+        assert model.n_iters_ == ref.n_iters_ > 0
+        assert np.array_equal(model.weights_, ref.weights_)
+        assert np.array_equal(model.intercepts_, ref.intercepts_)
+        assert np.array_equal(model.loss_trace_, ref.loss_trace_)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("l2_reg", [0.0, 0.01, 0.1])
+    def test_svc_fit(self, l2_reg, sparse):
+        X, y = fit_case(2, sparse)
+        model = LinearSVC(l2_reg=l2_reg).fit(X, y)
+        w, b, trace = reference_svc_fit(X, y, l2_reg)
+        assert np.array_equal(model.weights_[0], w)
+        assert np.array_equal(model.intercepts_, [b])
+        assert np.array_equal(model.objective_trace_, trace)
