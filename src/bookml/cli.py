@@ -16,6 +16,7 @@ and ``verify-model`` of a recommender never load scipy.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 import typing
@@ -25,16 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_mod
-from .ensemble import (
-    GradientBoostedTreesClassifier,
-    RandomForestClassifier,
-    block_importances,
-)
+from .ensemble import block_importances
 from .errors import BookmlError, ConfigError, DataError
-from .linear import LinearSVC, LogisticRegressionClassifier
+from .linear import LogisticRegressionClassifier
 from .metrics import evaluate_multiclass
-from .persist import load_artifact, model_from_json, model_to_json, save_artifact
-from .recommend import ALSExplicit, ALSImplicit, build_interactions, evaluate_holdout
+from .persist import load_artifact, model_class, model_from_json, model_to_json, save_artifact
+from .recommend import build_interactions, evaluate_holdout
 from .selection import SELECTION_METRICS, cross_validate, train_validation_split
 from .synth import generate_corpus
 from .table import (
@@ -47,7 +44,6 @@ from .table import (
     save_table,
     split_random,
 )
-from .tree import DecisionTreeClassifier
 
 CLASSIFIER_MODELS = ("logistic", "svc", "dtree", "rforest", "gbt")
 RECOMMENDER_MODELS = ("als", "als_implicit")
@@ -124,7 +120,7 @@ class RunConfig:
         if self.als_alpha <= 0:
             raise ConfigError("alpha must be positive for implicit feedback")
         if self.model in CLASSIFIER_MODELS and self.grid is not None:
-            _check_grid(type(make_estimator(self, None)), self.grid)
+            _check_grid(model_class(self.model), self.grid)
         return self
 
     def effective(self):
@@ -214,7 +210,23 @@ def _mark_done(out_dir, command):
     (Path(out_dir) / f"{command}.done").write_text("ok\n", encoding="utf-8")
 
 
+def _finish(out, command, report, lines):
+    """Write <command>_report.json and <command>_report.txt, then mark the command done."""
+    _write_json(out / f"{command}_report.json", report)
+    (out / f"{command}_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _mark_done(out, command)
+
+
 # ---------------------------------------------------------------- prepare
+
+
+def _price(raw):
+    """A price cell as a finite float, or None when it does not parse as one."""
+    try:
+        price = float(raw)
+    except ValueError:
+        return None
+    return price if math.isfinite(price) else None
 
 
 def cmd_prepare(cfg):
@@ -232,46 +244,30 @@ def cmd_prepare(cfg):
     if joined.row_count == 0:
         raise DataError("join produced zero rows; do the two files share titles?")
 
+    # Each dropped row counts under the first reason it fails, in this order.
     price_col = joined.column("price")
+    price = np.array([_price(raw) for raw in price_col.values], dtype=np.float64)
+    price[price_col.mask] = np.nan
     score_col = joined.column("r_score")
-    time_col = joined.column("r_time")
-    summary_col = joined.column("r_summary")
-    keep = []
-    price_vals = []
-    drops = {"missing_price": 0, "missing_score": 0, "invalid_score": 0,
-             "missing_time": 0, "missing_summary": 0}
-    for i in range(joined.row_count):
-        raw_price = price_col.value_at(i)
-        price = None
-        if raw_price is not None:
-            try:
-                price = float(raw_price)
-            except ValueError:
-                price = None
-        if price is None:
-            drops["missing_price"] += 1
-            continue
-        score = score_col.value_at(i)
-        if score is None:
-            drops["missing_score"] += 1
-            continue
-        if not 1 <= score <= 5:
-            drops["invalid_score"] += 1
-            continue
-        if time_col.value_at(i) is None:
-            drops["missing_time"] += 1
-            continue
-        if summary_col.value_at(i) is None:
-            drops["missing_summary"] += 1
-            continue
-        keep.append(i)
-        price_vals.append(price)
+    fails = {
+        "missing_price": np.isnan(price),
+        "missing_score": score_col.mask,
+        "invalid_score": (score_col.values < 1) | (score_col.values > 5),
+        "missing_time": joined.column("r_time").mask,
+        "missing_summary": joined.column("r_summary").mask,
+    }
+    dropped = np.zeros(joined.row_count, dtype=bool)
+    drops = {}
+    for reason, failed in fails.items():
+        hit = failed & ~dropped
+        drops[reason] = int(hit.sum())
+        dropped |= hit
+    keep = np.flatnonzero(~dropped)
 
-    if not keep:
+    if not keep.size:
         raise DataError("every joined row was dropped during preparation")
-    kept = joined.take(np.asarray(keep, dtype=np.int64))
-    kept = kept.select(["title", "user_id", "r_score", "r_time", "r_summary", "r_review"])
-    kept = kept.with_column("price", "float64", np.asarray(price_vals))
+    kept = joined.select(["title", "user_id", "r_score", "r_time", "r_summary", "r_review"])
+    kept = kept.take(keep).with_column("price", "float64", price[keep])
 
     sampled = kept.row_count
     if cfg.sample_rows is not None and cfg.sample_rows < kept.row_count:
@@ -302,11 +298,13 @@ def cmd_prepare(cfg):
 # ---------------------------------------------------------------- features
 
 
-def feature_stages(cfg):
+def _features(cfg, train_tbl, test_tbl):
+    """The feature pipeline fitted on train_tbl, and both tables' CSR feature matrices."""
     from .pipeline import (
         AssembleColumns,
         CountTokens,
         FilterStopwords,
+        Pipeline,
         ScaleMinMax,
         TokenizeText,
         WeightIdf,
@@ -331,8 +329,10 @@ def feature_stages(cfg):
             ]
         )
         parts.append("review_tfidf")
-    stages.append(AssembleColumns(parts, "features"))
-    return stages
+    pipe = Pipeline(stages + [AssembleColumns(parts, "features")])
+    X_train = pipe.fit_transform(train_tbl).column("features").values
+    X_test = pipe.transform(test_tbl).column("features").values
+    return pipe, X_train, X_test
 
 
 def make_labels(table, label_mode):
@@ -348,28 +348,13 @@ def make_labels(table, label_mode):
     return scores - 1, 5
 
 
-def make_estimator(cfg, num_classes):
-    if cfg.model == "logistic":
-        return LogisticRegressionClassifier(num_classes=num_classes, seed=cfg.seed)
-    if cfg.model == "svc":
-        return LinearSVC(seed=cfg.seed)
-    if cfg.model == "dtree":
-        return DecisionTreeClassifier(num_classes=num_classes)
-    if cfg.model == "rforest":
-        return RandomForestClassifier(num_classes=num_classes, seed=cfg.seed)
-    if cfg.model == "gbt":
-        return GradientBoostedTreesClassifier(seed=cfg.seed)
-    raise ConfigError(f"not a classifier model: {cfg.model!r}")
-
-
-def feature_matrix(table):
-    """Model input from a transformed table's assembled feature column.
-
-    Dense or CSR by the same occupancy rule as ``stack_vectors``.
-    """
-    from .vectors import dense_if_full
-
-    return dense_if_full(table.column("features").values)
+def make_estimator(cfg, num_classes=None):
+    """An unfitted cfg.model estimator, given each of cfg's settings that its class takes."""
+    cls = model_class(cfg.model)
+    settings = {"num_classes": num_classes, "seed": cfg.seed, "rank": cfg.als_rank,
+                "reg": cfg.als_reg, "sweeps": cfg.als_sweeps, "alpha": cfg.als_alpha}
+    names = cls._param_names()
+    return cls(**{name: value for name, value in settings.items() if name in names})
 
 
 def _load_prepared(cfg):
@@ -401,7 +386,7 @@ def _probe_block(pipe, model, table, cfg):
     """Inputs + expected outputs for a held-in verification probe set."""
     probe = table.head(min(PROBE_ROWS, table.row_count))
     out = pipe.transform(probe)
-    X = feature_matrix(out)
+    X = out.column("features").values
 
     def rows(col):
         return [col.value_at(i) for i in range(probe.row_count)]
@@ -421,12 +406,8 @@ def _class_balance(y, k):
 
 
 def _train_classifier(cfg, prepared, out):
-    from .pipeline import Pipeline
-
     train_tbl, test_tbl = split_random(prepared, 1.0 - cfg.test_fraction, cfg.seed)
-    pipe = Pipeline(feature_stages(cfg))
-    X_train = feature_matrix(pipe.fit_transform(train_tbl))
-    X_test = feature_matrix(pipe.transform(test_tbl))
+    pipe, X_train, X_test = _features(cfg, train_tbl, test_tbl)
     y_train, k = make_labels(train_tbl, cfg.label_mode)
     y_test, _ = make_labels(test_tbl, cfg.label_mode)
     if np.unique(y_train).shape[0] < 2:
@@ -493,20 +474,12 @@ def _train_classifier(cfg, prepared, out):
             "degenerate": importances.degenerate,
         }
         lines += ["", "feature importances:", report_mod.importance_table(importances)]
-    _write_json(out / "train_report.json", report)
-    (out / "train_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return report
+    return report, lines
 
 
 def _train_recommender(cfg, prepared, out):
     data = build_interactions(prepared, "user_id", "title", "r_score")
-    if cfg.model == "als":
-        estimator = ALSExplicit(rank=cfg.als_rank, reg=cfg.als_reg,
-                                sweeps=cfg.als_sweeps, seed=cfg.seed)
-    else:
-        estimator = ALSImplicit(rank=cfg.als_rank, reg=cfg.als_reg,
-                                sweeps=cfg.als_sweeps, alpha=cfg.als_alpha,
-                                seed=cfg.seed)
+    estimator = make_estimator(cfg)
     started = time.perf_counter()
     rmse, r2, n_test = evaluate_holdout(estimator, data, cfg.seed)
     model = estimator.clone().fit(data)
@@ -561,23 +534,17 @@ def _train_recommender(cfg, prepared, out):
         "",
         R2_EXPLANATION,
     ]
-    _write_json(out / "train_report.json", report)
-    (out / "train_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return report
+    return report, lines
 
 
 def cmd_train(cfg):
-    cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prepared = _load_prepared(cfg)
-    if cfg.model in RECOMMENDER_MODELS:
-        report = _train_recommender(cfg, prepared, out)
-    else:
-        report = _train_classifier(cfg, prepared, out)
-    _mark_done(out, "train")
-    print((out / "train_report.txt").read_text(encoding="utf-8"))
-    return report
+    train = _train_recommender if cfg.model in RECOMMENDER_MODELS else _train_classifier
+    report, lines = train(cfg, prepared, out)
+    _finish(out, "train", report, lines)
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------- compare
@@ -599,17 +566,11 @@ def cmd_compare(cfg):
             "reason": "single-class-dominant: one rating value covers "
                       f"{shares.max():.1%} of training rows",
         }
-        _write_json(out / "compare_report.json", report)
-        (out / "compare_report.txt").write_text(report["reason"] + "\n", encoding="utf-8")
-        _mark_done(out, "compare")
+        _finish(out, "compare", report, [report["reason"]])
         print("comparison inconclusive: " + report["reason"])
-        return report
+        return
 
-    from .pipeline import Pipeline
-
-    pipe = Pipeline(feature_stages(cfg))
-    X_train = feature_matrix(pipe.fit_transform(train_tbl))
-    X_test = feature_matrix(pipe.transform(test_tbl))
+    _, X_train, X_test = _features(cfg, train_tbl, test_tbl)
     rows = []
     metrics = {}
     for label_mode in ("multiclass", "binary"):
@@ -649,11 +610,8 @@ def cmd_compare(cfg):
         "binary confusion matrix:",
         report_mod.confusion_table(metrics["binary"]["report"].confusion),
     ]
-    _write_json(out / "compare_report.json", report)
-    (out / "compare_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _mark_done(out, "compare")
+    _finish(out, "compare", report, lines)
     print("\n".join(lines))
-    return report
 
 
 # ---------------------------------------------------------------- recommend
@@ -685,11 +643,8 @@ def cmd_recommend(cfg, user_id, n, exclude_seen=True, evaluate=False):
         report["r2_explanation"] = R2_EXPLANATION
         lines += ["", report_mod.regression_table([(artifact["model"]["kind"], rmse, r2)]),
                   "", R2_EXPLANATION]
-    _write_json(out / "recommend_report.json", report)
-    (out / "recommend_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _mark_done(out, "recommend")
+    _finish(out, "recommend", report, lines)
     print("\n".join(lines))
-    return report
 
 
 # ---------------------------------------------------------------- verify
@@ -756,7 +711,7 @@ def _verify_classifier(artifact, probes):
     for i, expect in enumerate(expected_features):
         if feats.value_at(i) != expect:
             mismatches.append(f"feature vector {i} differs")
-    X = feature_matrix(out)
+    X = feats.values
     for i, (got, expect) in enumerate(zip(model.predict(X), expected_labels)):
         if int(got) != expect:
             mismatches.append(f"prediction {i}: got {int(got)}, expected {expect}")

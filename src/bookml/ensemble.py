@@ -18,6 +18,7 @@ from .tree import (
     FeatureBins,
     Tree,
     accumulate_importances,
+    check_tree_params,
     densify,
     grow_tree,
     num_classes_from_doc,
@@ -49,6 +50,9 @@ class RandomForestClassifier(BaseEstimator):
     def check_params(self):
         if self.num_trees < 1:
             raise DataError("num_trees must be positive")
+        if self.feature_subset_size is not None and self.feature_subset_size < 1:
+            raise DataError("feature_subset_size must be None or at least 1")
+        check_tree_params(self.max_depth, self.max_bins, self.min_instances_per_node)
 
     def fit(self, X, y):
         X = densify(X)
@@ -160,6 +164,7 @@ class GradientBoostedTreesClassifier(BaseEstimator):
     def check_params(self):
         if self.num_iters < 0 or self.learning_rate <= 0:
             raise DataError("invalid boosting configuration")
+        check_tree_params(self.max_depth, self.max_bins, self.min_instances_per_node)
 
     def fit(self, X, y):
         X = densify(X)

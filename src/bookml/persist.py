@@ -39,13 +39,17 @@ def model_to_json(model):
     return doc
 
 
-def model_from_json(doc):
-    kind = doc.get("kind")
+def model_class(kind):
+    """The estimator class of a model kind, imported on first use."""
     target = MODEL_TYPES.get(kind) if isinstance(kind, str) else None
     if target is None:
         raise DataError(f"unknown model kind {kind!r}")
     module, name = target.split(":")
-    return getattr(importlib.import_module(f"{__package__}.{module}"), name).from_json(doc)
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def model_from_json(doc):
+    return model_class(doc.get("kind")).from_json(doc)
 
 
 def save_artifact(path, doc):

@@ -448,6 +448,12 @@ def accumulate_importances(tree, out):
     return out
 
 
+def check_tree_params(max_depth, max_bins, min_instances_per_node):
+    """DataError unless max_depth >= 0, max_bins >= 2 and min_instances_per_node >= 1."""
+    if max_depth < 0 or max_bins < 2 or min_instances_per_node < 1:
+        raise DataError("need max_depth >= 0, max_bins >= 2, min_instances_per_node >= 1")
+
+
 class DecisionTreeClassifier(BaseEstimator):
     """Greedy CART classifier with quantile-binned split search."""
 
@@ -459,9 +465,13 @@ class DecisionTreeClassifier(BaseEstimator):
         self.num_classes = num_classes
         self.tree_ = None
 
+    def check_params(self):
+        check_tree_params(self.max_depth, self.max_bins, self.min_instances_per_node)
+
     def fit(self, X, y):
         X = densify(X)
         y = as_label_array(y, X.shape[0])
+        self.check_params()
         k = int(self.num_classes) if self.num_classes else int(y.max()) + 1
         check_labels_in_range(y, k)
         self.num_classes_ = k

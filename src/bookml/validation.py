@@ -77,11 +77,8 @@ def check_matching_dim(model_dim, X):
 
 
 def row_scores(X, W, b):
-    """X @ W.T + b for dense or CSR X; always returns a dense ndarray."""
-    scores = X @ W.T
-    if _issparse(scores):
-        scores = scores.toarray()
-    return np.asarray(scores) + b
+    """X @ W.T + b for dense or CSR X and an ndarray W: a dense ndarray."""
+    return X @ W.T + b
 
 
 def take_rows(X, idx):

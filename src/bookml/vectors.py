@@ -1,11 +1,12 @@
-"""Feature-matrix bookkeeping: block maps and the training-matrix rule.
+"""Feature-matrix bookkeeping: block maps and stacking rows back into a matrix.
 
-Feature stages emit whole columns as one CSR matrix. A single row of it, as
-``Column.value_at`` reads it back and artifact probe blocks store it, is the
-plain dict ``{"dim": int, "indices": [int, ...], "values": [float, ...]}``
-with sorted indices and no explicit zeros; ``stack_vectors`` turns such rows
-back into a matrix. Assembled features keep a block map (name, offset,
-length) so tree importances can be attributed back to the source columns.
+Feature stages emit whole columns as one CSR matrix, and models take that
+matrix as it is. A single row of it, as ``Column.value_at`` reads it back
+and artifact probe blocks store it, is the plain dict
+``{"dim": int, "indices": [int, ...], "values": [float, ...]}`` with sorted
+indices and no explicit zeros; ``stack_vectors`` turns such rows back into
+the CSR matrix. Assembled features keep a block map (name, offset, length)
+so tree importances can be attributed back to the source columns.
 """
 
 from dataclasses import dataclass
@@ -69,30 +70,11 @@ class BlockMap:
         return len(self.blocks)
 
 
-# A training matrix is dense when at least this share of its cells is nonzero.
-DENSE_OCCUPANCY = 0.25
-
-
-def dense_if_full(X):
-    """Training matrix from a CSR feature matrix.
-
-    Returns a dense ndarray when nnz >= DENSE_OCCUPANCY * rows * dim, the
-    CSR matrix itself otherwise; models accept both.
-    """
-    n, dim = X.shape
-    if dim == 0:
-        return np.zeros((n, 0), dtype=np.float64)
-    if X.nnz >= DENSE_OCCUPANCY * n * dim:
-        return X.toarray()
-    return X
-
-
 def stack_vectors(rows):
-    """One training matrix from feature rows of equal dimension.
+    """One CSR matrix from feature rows of equal dimension.
 
     A row is ``{"dim": int, "indices": [int, ...], "values": [float, ...]}``,
-    as ``Column.value_at`` returns it. Dense or CSR by the rule of
-    ``dense_if_full``.
+    as ``Column.value_at`` returns it.
     """
     rows = list(rows)
     if not rows:
@@ -107,4 +89,4 @@ def stack_vectors(rows):
                           dtype=np.int64, count=nnz)
     data = np.fromiter(chain.from_iterable(row["values"] for row in rows),
                        dtype=np.float64, count=nnz)
-    return dense_if_full(sp.csr_matrix((data, indices, indptr), shape=(len(rows), dim)))
+    return sp.csr_matrix((data, indices, indptr), shape=(len(rows), dim))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bookml.cli import main
+from bookml.cli import CLASSIFIER_MODELS, RECOMMENDER_MODELS, main
 from bookml.synth import generate_corpus
 
 # Checked-in artifacts; see data/README.md.
@@ -39,6 +39,29 @@ def prepared(corpus, tmp_path_factory):
 
 def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+RATINGS_HEADER = ("id,title,price,user_id,profile_name,r_helpfulness,"
+                  "r_score,r_time,r_summary,r_review")
+BOOKS_HEADER = ("title,description,authors,image,preview,publisher,"
+                "publish_date,info_link,categories,ratings_count")
+
+
+def prepare_rows(tmp_path, rows):
+    """Run prepare on a hand-made corpus: one rating per (title, price, score,
+    time, summary) row and one book per title. Returns (exit code, out dir)."""
+    ratings, books, out = tmp_path / "ratings.csv", tmp_path / "books.csv", tmp_path / "out"
+    ratings.write_text("".join(
+        [RATINGS_HEADER + "\n"]
+        + [f"{i},{title},{price},U1,Reader,1/2,{score},{time},{summary},text\n"
+           for i, (title, price, score, time, summary) in enumerate(rows, 1)]),
+        encoding="utf-8")
+    books.write_text("".join(
+        [BOOKS_HEADER + "\n"] + [f"{row[0]},d,a,i,p,pub,2000,l,Fiction,1\n" for row in rows]),
+        encoding="utf-8")
+    code = main(["prepare", "--ratings-csv", str(ratings), "--books-csv", str(books),
+                 "--out", str(out)])
+    return code, out
 
 
 def strip_wall_times(doc):
@@ -91,6 +114,42 @@ class TestPrepare:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 3
+
+    def test_each_dropped_row_counts_under_its_first_failed_reason(self, tmp_path):
+        from bookml.table import load_table
+
+        code, out = prepare_rows(tmp_path, [
+            ("kept-a", "9.99", "5", "100", "fine"),
+            ("no-price", "", "4", "100", "fine"),
+            ("bad-price", "cheap", "4", "100", "fine"),
+            ("no-score", "9.99", "", "100", "fine"),
+            ("score-7", "9.99", "7", "100", "fine"),
+            ("score-0", "9.99", "0", "100", "fine"),
+            ("no-time", "9.99", "3", "", "fine"),
+            ("no-summary", "9.99", "3", "100", ""),
+            ("no-price-no-score", "", "", "100", "fine"),
+            ("score-7-no-time", "9.99", "7", "", "fine"),
+            ("no-time-no-summary", "9.99", "2", "", ""),
+            ("kept-b", "1.50", "1", "200", "also fine"),
+        ])
+        assert code == 0
+        summary = read_json(out / "prepare_summary.json")
+        assert summary["drop_reasons"] == {"missing_price": 3, "missing_score": 1,
+                                           "invalid_score": 3, "missing_time": 2,
+                                           "missing_summary": 1}
+        assert (summary["rows_in"], summary["rows_kept"]) == (12, 2)
+        table = load_table(out / "prepared")
+        assert list(table.column("title").values) == ["kept-a", "kept-b"]
+        assert table.column("price").values.tolist() == [9.99, 1.5]
+
+    @pytest.mark.parametrize("price", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_price_counts_as_missing(self, tmp_path, price):
+        code, out = prepare_rows(tmp_path, [("kept", "9.99", "5", "100", "fine"),
+                                            ("odd", price, "4", "100", "fine")])
+        assert code == 0
+        summary = read_json(out / "prepare_summary.json")
+        assert summary["drop_reasons"]["missing_price"] == 1
+        assert summary["rows_kept"] == 1
 
     @pytest.mark.parametrize("missing", ["ratings", "books"])
     def test_missing_csv_is_data_error_before_parsing(self, corpus, tmp_path,
@@ -683,6 +742,20 @@ class TestCheckedInArtifacts:
         assert model_from_json(doc).to_json() == doc
 
 
+class TestModelKinds:
+    def test_cli_kinds_are_the_persisted_kinds(self):
+        from bookml.persist import MODEL_TYPES
+
+        assert set(CLASSIFIER_MODELS + RECOMMENDER_MODELS) == set(MODEL_TYPES)
+
+    @pytest.mark.parametrize("kind", CLASSIFIER_MODELS + RECOMMENDER_MODELS)
+    def test_make_estimator_builds_its_kind(self, kind):
+        from bookml.cli import RunConfig, make_estimator
+        from bookml.persist import model_class
+
+        assert type(make_estimator(RunConfig(model=kind), 2)) is model_class(kind)
+
+
 def _tree_nodes(model):
     """Every node of a tree model document: each tree in order, nodes in preorder."""
     stack = [model["root"]] if "root" in model else list(reversed(model["trees"]))
@@ -1013,7 +1086,6 @@ class TestRequestPath:
         # The benchmark's request client scores 32-row requests by stacking
         # value_at rows with validation.stack_vectors.
         from bookml import validation
-        from bookml.cli import feature_matrix
         from bookml.persist import load_artifact, model_from_json
         from bookml.pipeline import Pipeline
         from bookml.table import load_table
@@ -1031,7 +1103,7 @@ class TestRequestPath:
             out = pipe.transform(table.take(np.arange(start, min(start + 32, table.row_count))))
             col = out.column("features")
             X = validation.stack_vectors([col.value_at(i) for i in range(out.row_count)])
-            want = feature_matrix(out)
+            want = col.values
             assert type(X) is type(want)
             np.testing.assert_array_equal(model.decision_function(X),
                                           model.decision_function(want))
@@ -1167,6 +1239,14 @@ class TestConfigFile:
         ("rforest", {"bootstrap": [1]}),
         ("gbt", {"learning_rate": [0]}),
         ("gbt", {"num_iters": [-1]}),
+        ("dtree", {"max_bins": [1]}),
+        ("dtree", {"max_bins": [0]}),
+        ("dtree", {"max_depth": [-1]}),
+        ("dtree", {"min_instances_per_node": [0]}),
+        ("rforest", {"feature_subset_size": [0]}),
+        ("rforest", {"max_bins": [1]}),
+        ("gbt", {"max_depth": [-1]}),
+        ("gbt", {"min_instances_per_node": [0]}),
     ])
     def test_bad_grid_rejected_before_loading(self, tmp_path, capsys, model, grid):
         # No prepared table exists here: a config error must come first.

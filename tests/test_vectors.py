@@ -8,7 +8,7 @@ from scipy import sparse as sp
 from bookml import BlockMap, DataError, Table, stack_vectors
 from bookml.pipeline import AssembleColumns
 from bookml.table import Column
-from bookml.vectors import DENSE_OCCUPANCY, Block, dense_if_full
+from bookml.vectors import Block
 
 
 def sparse_row(dim, indices, values):
@@ -99,9 +99,9 @@ def test_stack_vectors_sparse_and_dense():
     rows = [{"dim": 4, "indices": [1], "values": [2.0]},
             {"dim": 4, "indices": [], "values": []}]
     X = stack_vectors(rows)
+    assert sp.issparse(X) and X.format == "csr"
     assert X.shape == (2, 4)
-    dense = X.toarray() if hasattr(X, "toarray") else X
-    np.testing.assert_array_equal(dense, [[0, 2.0, 0, 0], [0, 0, 0, 0]])
+    np.testing.assert_array_equal(X.toarray(), [[0, 2.0, 0, 0], [0, 0, 0, 0]])
     with pytest.raises(DataError):
         stack_vectors([{"dim": 2, "indices": [], "values": []},
                        {"dim": 3, "indices": [], "values": []}])
@@ -111,11 +111,11 @@ def test_stack_vectors_sparse_and_dense():
 
 @st.composite
 def feature_matrices(draw):
-    """Random canonical CSR matrices: empty rows, dim 0, and occupancy on
-    both sides of DENSE_OCCUPANCY."""
+    """Random canonical CSR matrices: empty rows, dim 0, and occupancy from
+    none to full."""
     n = draw(st.integers(1, 6))
     dim = draw(st.integers(0, 8))
-    occupancy = draw(st.sampled_from([0.0, DENSE_OCCUPANCY / 2, DENSE_OCCUPANCY, 1.0]))
+    occupancy = draw(st.sampled_from([0.0, 0.125, 0.25, 1.0]))
     keep = draw(st.lists(st.floats(0, 1), min_size=n * dim, max_size=n * dim))
     cells = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
                           .filter(bool), min_size=n * dim, max_size=n * dim))
@@ -130,12 +130,9 @@ def test_rows_stack_back_to_the_training_matrix(X):
     rows = [col.value_at(i) for i in range(len(col))]
     for row in rows:
         assert json.loads(json.dumps(row)) == row
-    got, want = stack_vectors(rows), dense_if_full(col.values)
+    got, want = stack_vectors(rows), col.values
     assert type(got) is type(want)
     assert got.shape == want.shape
-    if sp.issparse(want):
-        for attr in ("indptr", "indices", "data"):
-            a, b = getattr(got, attr), getattr(want, attr)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    else:
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
