@@ -240,7 +240,10 @@ def cmd_prepare(cfg):
     out.mkdir(parents=True, exist_ok=True)
     ratings = parse_csv(cfg.ratings_csv, RATINGS_COLUMNS, cfg.max_malformed_fraction)
     books = parse_csv(cfg.books_csv, BOOKS_COLUMNS, cfg.max_malformed_fraction)
-    joined = join_inner(ratings.table, books.table, "title", "title")
+    # Join only what prepare reads: the ratings columns it keeps, price, and the key.
+    kept_columns = ["title", "user_id", "r_score", "r_time", "r_summary", "r_review"]
+    joined = join_inner(ratings.table.select(kept_columns + ["price"]),
+                        books.table.select(["title"]), "title", "title")
     if joined.row_count == 0:
         raise DataError("join produced zero rows; do the two files share titles?")
 
@@ -266,8 +269,7 @@ def cmd_prepare(cfg):
 
     if not keep.size:
         raise DataError("every joined row was dropped during preparation")
-    kept = joined.select(["title", "user_id", "r_score", "r_time", "r_summary", "r_review"])
-    kept = kept.take(keep).with_column("price", "float64", price[keep])
+    kept = joined.select(kept_columns).take(keep).with_column("price", "float64", price[keep])
 
     sampled = kept.row_count
     if cfg.sample_rows is not None and cfg.sample_rows < kept.row_count:
@@ -292,7 +294,6 @@ def cmd_prepare(cfg):
     _mark_done(out, "prepare")
     print(f"prepared {sampled} rows -> {out / 'prepared'}")
     print(f"  rows_in={summary['rows_in']} kept={summary['rows_kept']} drops={drops}")
-    return summary
 
 
 # ---------------------------------------------------------------- features
@@ -382,7 +383,7 @@ def _model_scores(model, X):
     return None
 
 
-def _probe_block(pipe, model, table, cfg):
+def _probe_block(pipe, model, table):
     """Inputs + expected outputs for a held-in verification probe set."""
     probe = table.head(min(PROBE_ROWS, table.row_count))
     out = pipe.transform(probe)
@@ -439,7 +440,7 @@ def _train_classifier(cfg, prepared, out):
         "num_classes": k,
         "pipeline": pipe.to_json(),
         "model": model_to_json(model),
-        "probes": _probe_block(pipe, model, train_tbl, cfg),
+        "probes": _probe_block(pipe, model, train_tbl),
     }
     save_artifact(out / "model.json", artifact)
 
@@ -760,7 +761,6 @@ def cmd_verify(path):
             + "; ".join(mismatches[:5])
         )
     print(f"{path}: verified ({artifact['artifact']})")
-    return 0
 
 
 # ---------------------------------------------------------------- synth
@@ -786,7 +786,6 @@ def cmd_synth(args):
         f"{stats.n_users} users -> {args.out} "
         f"(malformed={stats.malformed_written}, missing_price={stats.missing_price})"
     )
-    return stats
 
 
 # ---------------------------------------------------------------- argparse
