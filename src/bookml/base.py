@@ -7,11 +7,19 @@ trailing-underscore attributes set by ``fit``.
 
 import inspect
 
+from .docspec import Bool, Doc, Finite, Int, Nullable, Str
 from .errors import NotFittedError
+
+# The spec of a parameter, by the type of its default: an int counts as a
+# float, a bool never as an int, and a None default takes None or an int.
+_DEFAULT_SPECS = {bool: Bool, int: Int(), float: Finite, str: Str, type(None): Nullable(Int())}
 
 
 class BaseEstimator:
     """Provides get_params/set_params backed by the __init__ signature."""
+
+    # Specs of the parameters whose default does not give their type.
+    PARAM_SPECS = {}
 
     @classmethod
     def _param_names(cls):
@@ -21,6 +29,13 @@ class BaseEstimator:
             for name, p in sig.parameters.items()
             if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         ]
+
+    @classmethod
+    def param_spec(cls):
+        """The Doc of get_params(): each parameter as PARAM_SPECS or its default's type declares it."""
+        params = inspect.signature(cls.__init__).parameters
+        return Doc({name: cls.PARAM_SPECS.get(name) or _DEFAULT_SPECS[type(params[name].default)]
+                    for name in cls._param_names()})
 
     def check_params(self):
         """Raise DataError if a parameter lies outside its valid range.

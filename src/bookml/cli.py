@@ -19,18 +19,26 @@ import json
 import math
 import sys
 import time
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import report as report_mod
+from .docspec import (Any, Bool, Const, Count, Doc, Finite, Int, ListOf, Nullable, Str, check,
+                      load_json)
 from .ensemble import block_importances
 from .errors import BookmlError, ConfigError, DataError
 from .linear import LogisticRegressionClassifier
 from .metrics import evaluate_multiclass
-from .persist import load_artifact, model_class, model_from_json, model_to_json, save_artifact
+from .persist import (
+    ARTIFACT_FORMAT_VERSION,
+    load_artifact,
+    model_class,
+    model_from_json,
+    model_to_json,
+    save_artifact,
+)
 from .recommend import build_interactions, evaluate_holdout
 from .selection import SELECTION_METRICS, cross_validate, train_validation_split
 from .synth import generate_corpus
@@ -59,6 +67,9 @@ DEFAULT_GRIDS = {
 }
 
 PROBE_ROWS = 32
+# The prepared columns a classifier artifact's probes hold: each one's dtype and value spec.
+PROBE_INPUTS = {"price": ("float64", Finite), "r_time": ("int64", Int(-2**63, 2**63)),
+                "r_summary": ("text", Str), "r_review": ("text", Str)}
 R2_EXPLANATION = (
     "R2 = 1 - SS_res/SS_tot: negative values mean the model predicts held-out "
     "ratings worse than always predicting their mean."
@@ -90,35 +101,17 @@ class RunConfig:
     als_alpha: float = 40.0
 
     def validate(self):
-        if self.model not in CLASSIFIER_MODELS + RECOMMENDER_MODELS:
-            raise ConfigError(f"unknown model {self.model!r}")
-        if self.label_mode not in ("multiclass", "binary"):
-            raise ConfigError(f"unknown label_mode {self.label_mode!r}")
-        if self.tuning not in ("cv", "tvs"):
-            raise ConfigError(f"unknown tuning method {self.tuning!r}")
+        check(dataclasses.asdict(self), CONFIG_DOC, "config", ConfigError)
         if self.model in BINARY_ONLY_MODELS and self.label_mode != "binary":
             raise ConfigError(f"model {self.model!r} supports only label_mode=binary")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must lie strictly between 0 and 1")
-        if self.vocab_size < 1 or self.min_df < 1:
-            raise ConfigError("vocab_size and min_df must be at least 1")
+        # Written so that NaN fails them too; the library checks the model's
+        # ranges again, but only once the prepared table is loaded.
+        if not (0.0 < self.test_fraction < 1.0 and 0.0 < self.tvs_ratio < 1.0):
+            raise ConfigError("test_fraction and tvs_ratio must lie strictly between 0 and 1")
         if not 0.0 <= self.max_malformed_fraction <= 1.0:
             raise ConfigError("max_malformed_fraction must lie in [0, 1]")
-        if self.sample_rows is not None and self.sample_rows < 1:
-            raise ConfigError("sample_rows must be at least 1")
-        # The library makes these checks too, but only once the prepared
-        # table is loaded; a config error must come before any data.
-        if self.cv_k < 2:
-            raise ConfigError("k must be at least 2")
-        if not 0.0 < self.tvs_ratio < 1.0:
-            raise ConfigError("train_ratio must lie strictly between 0 and 1")
-        if self.metric not in SELECTION_METRICS:
-            raise ConfigError(
-                f"unknown selection metric {self.metric!r}; choose from {SELECTION_METRICS}")
-        if self.als_rank < 1 or self.als_reg < 0 or self.als_sweeps < 0:
-            raise ConfigError("rank must be >= 1, reg >= 0, sweeps >= 0")
-        if self.als_alpha <= 0:
-            raise ConfigError("alpha must be positive for implicit feedback")
+        if not (self.als_reg >= 0 and self.als_alpha > 0):
+            raise ConfigError("als_reg must be >= 0 and als_alpha positive")
         if self.model in CLASSIFIER_MODELS and self.grid is not None:
             _check_grid(model_class(self.model), self.grid)
         return self
@@ -131,38 +124,29 @@ class RunConfig:
         return doc
 
 
-def _check_type(path, key, value, annotation):
-    """Reject a JSON value whose type does not match its RunConfig field.
-
-    An int is accepted for a float field; a bool is never an int.
-    """
-    allowed = typing.get_args(annotation) or (annotation,)
-    if float in allowed:
-        allowed += (int,)
-    if isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool)):
-        return
-    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-    raise ConfigError(f"{path}: {key} must be {names}, got {type(value).__name__}")
+# A config file, and the effective config of every command: each key is
+# optional in a file.
+CONFIG_FIELDS = {
+    "ratings_csv": Str, "books_csv": Str, "out_dir": Str, "sample_rows": Nullable(Count),
+    "label_mode": Const("multiclass", "binary"),
+    "model": Const(*CLASSIFIER_MODELS, *RECOMMENDER_MODELS), "tuning": Const("cv", "tvs"),
+    "cv_k": Int(2), "tvs_ratio": Finite, "metric": Const(*SELECTION_METRICS),
+    "grid": Nullable(Doc({}, open=True)), "seed": Int(0), "test_fraction": Finite,
+    "vocab_size": Count, "min_df": Count, "use_review_text": Bool,
+    "max_malformed_fraction": Finite, "als_rank": Count, "als_reg": Finite,
+    "als_sweeps": Int(0), "als_alpha": Finite,
+}
+CONFIG_DOC = Doc(CONFIG_FIELDS, optional=CONFIG_FIELDS)
 
 
 def _check_grid(cls, grid):
-    """ConfigError unless each grid axis is a nonempty list of valid values.
-
-    An axis must name a parameter of the estimator class cls. Its values
-    must have the type of that parameter's default, as _check_type takes it
-    (a None default takes None or an int), and pass cls.check_params.
-    """
-    defaults = cls().get_params()
+    """ConfigError unless each axis names a parameter of the estimator class
+    cls and lists values that fit its spec (cls.param_spec) and pass cls.check_params."""
+    params = cls.param_spec().fields
+    axes = Doc({name: ListOf(spec, min_len=1) for name, spec in params.items()}, optional=params)
+    check(grid, axes, "", lambda msg: ConfigError(f"grid: {msg}"))
     for name, values in grid.items():
-        if name not in defaults:
-            raise ConfigError(f"grid: {cls.__name__} has no parameter {name!r}; "
-                              f"valid parameters: {sorted(defaults)}")
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"grid: axis {name!r} must be a nonempty list")
-        default = defaults[name]
-        annotation = int | None if default is None else type(default)
         for value in values:
-            _check_type("grid", name, value, annotation)
             try:
                 cls(**{name: value}).check_params()
             except DataError as exc:
@@ -172,21 +156,7 @@ def _check_grid(cls, grid):
 def load_config(path, overrides):
     cfg = RunConfig()
     if path:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            doc = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
-        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-        unknown = set(doc) - set(types)
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        for key, value in doc.items():
-            _check_type(path, key, value, types[key])
+        for key, value in load_json(path, CONFIG_DOC, ConfigError).items():
             setattr(cfg, key, value)
     for key, value in overrides.items():
         if value is not None:
@@ -367,10 +337,7 @@ def _load_prepared(cfg):
 
 def _artifact_model(artifact, kinds):
     """The artifact's model, checked to be one of kinds before it is built."""
-    doc = artifact.get("model")
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in kinds:
-        raise DataError(f"{artifact['artifact']} artifact holds model kind {kind!r}")
+    doc = check(artifact.get("model"), Doc({"kind": Const(*kinds)}, open=True), "model")
     return model_from_json(doc)
 
 
@@ -392,7 +359,7 @@ def _probe_block(pipe, model, table):
     def rows(col):
         return [col.value_at(i) for i in range(probe.row_count)]
 
-    columns = {name: probe.column(name) for name in ("price", "r_time", "r_summary", "r_review")}
+    columns = {name: probe.column(name) for name in PROBE_INPUTS}
     return {
         "inputs": {name: {"dtype": col.dtype, "values": rows(col)} for name, col in columns.items()},
         "expected_features": rows(out.column("features")),
@@ -651,90 +618,73 @@ def cmd_recommend(cfg, user_id, n, exclude_seen=True, evaluate=False):
 # ---------------------------------------------------------------- verify
 
 
-def _is_a(value, kind):
-    """isinstance, except that a bool is never a number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _rows(probes):
+    """The number of probe rows: the length of the first input column."""
+    return len(next(iter(probes["inputs"].values()))["values"])
 
 
-# Whether a non-null probe input value fits its CSV dtype.
-_PROBE_VALUE_OK = {
-    "text": lambda v: isinstance(v, str),
-    "int64": lambda v: _is_a(v, int) and -2**63 <= v < 2**63,
-    "float64": lambda v: _is_a(v, float) or _is_a(v, int) and abs(v) <= sys.float_info.max,
+# Each artifact kind as verify-model reads it. The model and pipeline
+# blocks declare their own documents (their classes' doc_spec, PIPELINE_DOC).
+ARTIFACT_DOCS = {
+    "classifier": Doc({
+        "format_version": Const(ARTIFACT_FORMAT_VERSION), "artifact": Const("classifier"),
+        "config": Any, "label_mode": Const("multiclass", "binary"), "num_classes": Count,
+        "pipeline": Any, "model": Any,
+        "probes": Doc({
+            "inputs": Doc({name: Doc({"dtype": Const(dtype), "values": ListOf(Nullable(value),
+                                                                              min_len=1)})
+                           for name, (dtype, value) in PROBE_INPUTS.items()}),
+            "expected_features": lambda p: ListOf(Doc({
+                "dim": Count, "indices": ListOf(Int(0)), "values": ListOf(Finite)}),
+                length=_rows(p)),
+            "expected_labels": lambda p: ListOf(Int(), length=_rows(p)),
+            "expected_scores": lambda p: Nullable(ListOf(Any, length=_rows(p))),
+        }, optional=("expected_scores",)),
+    }),
+    "recommender": Doc({
+        "format_version": Const(ARTIFACT_FORMAT_VERSION), "artifact": Const("recommender"),
+        "config": Any, "model": Any,
+        "probes": Doc({
+            "pairs": ListOf(Doc({"user": Str, "item": Str, "score": Finite}), min_len=1),
+            "top_n": ListOf(Doc({"user": Str, "n": Count, "items": ListOf(Str)}), min_len=1),
+        }),
+    }),
 }
 
 
-def _probe_list(probes, key, rows=None, entry_ok=lambda entry: True):
-    """probes[key], checked: a nonempty list, of rows entries if given, each passing entry_ok."""
-    value = probes.get(key)
-    if (not isinstance(value, list) or not value or rows is not None and len(value) != rows
-            or not all(entry_ok(entry) for entry in value)):
-        per_row = f", one per probe row ({rows})" if rows else ""
-        raise DataError(f"probes.{key} must be a nonempty list of well-formed entries{per_row}")
-    return value
-
-
-def _probe_table(probes):
-    """The classifier probes' input columns as a Table, checked before use."""
-    inputs = probes.get("inputs")
-    if not isinstance(inputs, dict) or not inputs:
-        raise DataError("probes.inputs must map column names to columns")
-    for name, col in inputs.items():
-        dtype = col.get("dtype") if isinstance(col, dict) else None
-        ok = _PROBE_VALUE_OK.get(dtype) if isinstance(dtype, str) else None
-        values = col.get("values") if ok else None
-        if not name or not isinstance(values, list) or not all(
-                v is None or ok(v) for v in values):
-            raise DataError(f"probe input {name!r} needs a CSV dtype and values of that type")
-    lengths = {len(col["values"]) for col in inputs.values()}
-    if len(lengths) != 1 or 0 in lengths:
-        raise DataError("probe inputs must hold the same nonzero number of rows")
-    columns = [(name, col["dtype"], True) for name, col in inputs.items()]
-    return Table.build(columns, {name: col["values"] for name, col in inputs.items()})
-
-
-def _verify_classifier(artifact, probes):
+def _verify_classifier(artifact):
     from .pipeline import Pipeline
 
-    if not isinstance(artifact.get("pipeline"), dict):
-        raise DataError("classifier artifact needs a pipeline object")
     pipe = Pipeline.from_json(artifact["pipeline"])
     model = _artifact_model(artifact, CLASSIFIER_MODELS)
-    table = _probe_table(probes)
-    expected_features = _probe_list(probes, "expected_features", table.row_count)
-    expected_labels = _probe_list(probes, "expected_labels", table.row_count)
-    expected_scores = probes.get("expected_scores")
-    if expected_scores is not None:
-        _probe_list(probes, "expected_scores", table.row_count)
+    probes = artifact["probes"]
+    inputs = probes["inputs"]
+    if len({len(col["values"]) for col in inputs.values()}) != 1:
+        raise DataError("probes.inputs columns must hold the same number of rows")
+    table = Table.build([(name, col["dtype"], True) for name, col in inputs.items()],
+                        {name: col["values"] for name, col in inputs.items()})
     mismatches = []
-    out = pipe.transform(table)
-    feats = out.column("features")
-    for i, expect in enumerate(expected_features):
+    feats = pipe.transform(table).column("features")
+    for i, expect in enumerate(probes["expected_features"]):
         if feats.value_at(i) != expect:
             mismatches.append(f"feature vector {i} differs")
     X = feats.values
-    for i, (got, expect) in enumerate(zip(model.predict(X), expected_labels)):
+    for i, (got, expect) in enumerate(zip(model.predict(X), probes["expected_labels"])):
         if int(got) != expect:
             mismatches.append(f"prediction {i}: got {int(got)}, expected {expect}")
+    expected_scores = probes.get("expected_scores")
     if expected_scores is not None and _model_scores(model, X) != expected_scores:
         mismatches.append("model scores differ")
     return mismatches
 
 
-def _verify_recommender(artifact, probes):
+def _verify_recommender(artifact):
     model = _artifact_model(artifact, RECOMMENDER_MODELS)
-    pairs = _probe_list(probes, "pairs", entry_ok=lambda p: isinstance(p, dict)
-                        and _is_a(p.get("user"), str) and _is_a(p.get("item"), str)
-                        and _is_a(p.get("score"), (int, float)))
-    top_n = _probe_list(probes, "top_n", entry_ok=lambda p: isinstance(p, dict)
-                        and _is_a(p.get("user"), str) and _is_a(p.get("n"), int)
-                        and p["n"] >= 1 and isinstance(p.get("items"), list)
-                        and all(_is_a(t, str) for t in p["items"]))
     mismatches = []
-    for probe in pairs:
+    for probe in artifact["probes"]["pairs"]:
         if model.score(probe["user"], probe["item"]).value != probe["score"]:
             mismatches.append(f"score({probe['user']}, {probe['item']}) differs")
-    for probe in top_n:
+    for probe in artifact["probes"]["top_n"]:
         items, _ = model.recommend_top_n(probe["user"], probe["n"], exclude_seen=False)
         if [t for t, _ in items] != probe["items"]:
             mismatches.append(f"top-{probe['n']} for {probe['user']} differs")
@@ -742,33 +692,26 @@ def _verify_recommender(artifact, probes):
 
 
 def cmd_verify(path):
-    """Deserialize an artifact, check its probe block, and re-check its expectations."""
+    """Deserialize an artifact, check its document, and re-check its probes' expectations."""
     artifact = load_artifact(path)
-    kind = artifact.get("artifact")
-    if kind == "classifier":
-        verify = _verify_classifier
-    elif kind == "recommender":
-        verify = _verify_recommender
-    else:
-        raise DataError(f"{path}: unknown artifact kind {kind!r}")
-    probes = artifact.get("probes")
-    if not isinstance(probes, dict):
-        raise DataError(f"{path}: {kind} artifact has no probes block")
-    mismatches = verify(artifact, probes)
+    kind = artifact["artifact"]
+    artifact = check(artifact, ARTIFACT_DOCS[kind], "")
+    verify = _verify_classifier if kind == "classifier" else _verify_recommender
+    mismatches = verify(artifact)
     if mismatches:
         raise DataError(
             f"{path}: verification failed with {len(mismatches)} mismatch(es): "
             + "; ".join(mismatches[:5])
         )
-    print(f"{path}: verified ({artifact['artifact']})")
+    print(f"{path}: verified ({kind})")
 
 
 # ---------------------------------------------------------------- synth
 
 
 def cmd_synth(args):
-    if args.rows < 1:
-        raise ConfigError("--rows must be at least 1")
+    check(args.rows, Count, "--rows", ConfigError)
+    check(args.seed, Nullable(Int(0)), "--seed", ConfigError)
     for name in ("correlation", "missing_price_rate", "malformed_rate"):
         if not 0.0 <= getattr(args, name) <= 1.0:
             raise ConfigError(f"--{name.replace('_', '-')} must lie in [0, 1]")

@@ -12,16 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
+from .docspec import Const, Count, Doc, Finite, ListOf, check
 from .errors import DataError, NumericError
-from .persist import is_finite_number, model_from_doc
 from .tree import (
     FeatureBins,
-    Tree,
+    TreeDoc,
     accumulate_importances,
     check_tree_params,
     densify,
     grow_tree,
-    num_classes_from_doc,
     tree_predict_matrix,
 )
 from .validation import as_label_array, check_labels_in_range, check_matching_dim
@@ -48,9 +47,9 @@ class RandomForestClassifier(BaseEstimator):
         self.trees_ = None
 
     def check_params(self):
-        if self.num_trees < 1:
+        if not self.num_trees >= 1:
             raise DataError("num_trees must be positive")
-        if self.feature_subset_size is not None and self.feature_subset_size < 1:
+        if self.feature_subset_size is not None and not self.feature_subset_size >= 1:
             raise DataError("feature_subset_size must be None or at least 1")
         check_tree_params(self.max_depth, self.max_bins, self.min_instances_per_node)
 
@@ -117,18 +116,17 @@ class RandomForestClassifier(BaseEstimator):
         }
 
     @classmethod
+    def doc_spec(cls):
+        return Doc({"kind": Const("rforest"), "num_classes": Count, "dim": Count,
+                    "params": cls.param_spec(),
+                    "trees": lambda d: ListOf(TreeDoc(d["dim"], d["num_classes"]), min_len=1)})
+
+    @classmethod
     def from_json(cls, doc):
-        model = model_from_doc(cls, doc, "num_classes", "trees")
-        model.num_classes_ = num_classes_from_doc(doc)
-        model.trees_ = _trees_from_json(doc["trees"], model.dim_, model.num_classes_)
+        doc = check(doc, cls.doc_spec(), "model")
+        model = cls(**doc["params"])
+        model.num_classes_, model.dim_, model.trees_ = doc["num_classes"], doc["dim"], doc["trees"]
         return model
-
-
-def _trees_from_json(docs, dim, num_classes=None):
-    """The trees of a non-empty list of nested tree documents; see Tree.from_json."""
-    if not isinstance(docs, list) or not docs:
-        raise DataError("trees must be a non-empty list of tree documents")
-    return [Tree.from_json(doc, dim, num_classes, f"trees[{t}]") for t, doc in enumerate(docs)]
 
 
 def _sigmoid(z):
@@ -162,7 +160,7 @@ class GradientBoostedTreesClassifier(BaseEstimator):
         self.trees_ = None
 
     def check_params(self):
-        if self.num_iters < 0 or self.learning_rate <= 0:
+        if not (self.num_iters >= 0 and self.learning_rate > 0):
             raise DataError("invalid boosting configuration")
         check_tree_params(self.max_depth, self.max_bins, self.min_instances_per_node)
 
@@ -238,14 +236,17 @@ class GradientBoostedTreesClassifier(BaseEstimator):
         }
 
     @classmethod
+    def doc_spec(cls):
+        return Doc({"kind": Const("gbt"), "dim": Count, "initial_score": Finite,
+                    "params": cls.param_spec(),
+                    "trees": lambda d: ListOf(TreeDoc(d["dim"]), min_len=1)})
+
+    @classmethod
     def from_json(cls, doc):
-        model = model_from_doc(cls, doc, "initial_score", "trees")
-        if not (is_finite_number(doc["initial_score"]) and is_finite_number(model.learning_rate)):
-            raise DataError("gbt model needs a finite initial_score and learning_rate")
-        model.num_classes_ = 2
-        model.initial_score_ = doc["initial_score"]
-        model.trees_ = _trees_from_json(doc["trees"], model.dim_)
-        model.train_loss_ = None
+        doc = check(doc, cls.doc_spec(), "model")
+        model = cls(**doc["params"])
+        model.dim_, model.initial_score_, model.trees_ = doc["dim"], doc["initial_score"], doc["trees"]
+        model.num_classes_, model.train_loss_ = 2, None
         return model
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import DataError, NumericError
-from .persist import finite_array, is_count, is_finite_number, is_int, model_from_doc
+from .docspec import Array, Const, Count, Doc, Finite, Int, check
 from .validation import (
     as_feature_matrix,
     as_label_array,
@@ -89,7 +89,7 @@ class LogisticRegressionClassifier(BaseEstimator):
         self.weights_ = None
 
     def check_params(self):
-        if self.max_iters < 1 or self.step_size <= 0 or self.tol <= 0 or self.l2_reg < 0:
+        if not (self.max_iters >= 1 and self.step_size > 0 and self.tol > 0 and self.l2_reg >= 0):
             raise DataError("invalid training configuration")
 
     def fit(self, X, y):
@@ -170,6 +170,8 @@ class LogisticRegressionClassifier(BaseEstimator):
             },
         }
 
+    doc_spec = classmethod(lambda cls: linear_doc_spec(cls))
+
     @classmethod
     def from_json(cls, doc):
         model = linear_from_json(cls, doc)
@@ -201,7 +203,7 @@ class LinearSVC(BaseEstimator):
         self.weights_ = None
 
     def check_params(self):
-        if self.max_iters < 1 or self.step_size <= 0 or self.l2_reg < 0:
+        if not (self.max_iters >= 1 and self.step_size > 0 and self.l2_reg >= 0):
             raise DataError("invalid training configuration")
 
     def fit(self, X, y):
@@ -278,6 +280,8 @@ class LinearSVC(BaseEstimator):
             },
         }
 
+    doc_spec = classmethod(lambda cls: linear_doc_spec(cls))
+
     @classmethod
     def from_json(cls, doc):
         model = linear_from_json(cls, doc)
@@ -285,33 +289,27 @@ class LinearSVC(BaseEstimator):
         return model
 
 
-def linear_from_json(cls, doc):
-    """A fitted logistic or svc model of cls from its document, checked first.
+def linear_doc_spec(cls):
+    """The document of a fitted logistic or svc model of cls; the SVC keeps one weight row."""
+    svc = cls is LinearSVC
+    return Doc({
+        "format_version": Const(MODEL_FORMAT_VERSION),
+        "kind": Const("svc" if svc else "logistic"),
+        "num_classes": Const(2) if svc else Int(2),
+        "dim": Count,
+        "weights": lambda d: Array((1 if svc else d["num_classes"], d["dim"])),
+        "intercepts": lambda d: Array((1 if svc else d["num_classes"],)),
+        "params": cls.param_spec(),
+        "training": Doc({"iterations": Int(0), "final_objective": Finite}),
+    })
 
-    The document needs format_version 1, params naming exactly cls's
-    parameters, an int dim >= 1 and an int num_classes >= 2 (exactly 2 for
-    the SVC, which keeps one weight row). weights must be rows x dim and
-    intercepts rows long, with rows = num_classes for logistic regression,
-    all finite numbers; training needs an int iterations >= 0 and a finite
-    final_objective. Any violation raises DataError.
-    """
-    model = model_from_doc(cls, doc, "format_version", "num_classes", "weights",
-                           "intercepts", "training")
-    if not is_int(doc["format_version"]) or doc["format_version"] != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported linear model format {doc['format_version']!r}")
-    k = doc["num_classes"]
-    if not (is_count(k) and k >= 2) or cls is LinearSVC and k != 2:
-        raise DataError(f"{cls.__name__} num_classes {k!r} is not a valid class count")
-    rows = 1 if cls is LinearSVC else k
-    model.num_classes_ = k
-    model.weights_ = finite_array(doc["weights"], "weights", (rows, model.dim_))
-    model.intercepts_ = finite_array(doc["intercepts"], "intercepts", (rows,))
-    training = doc["training"]
-    if not (isinstance(training, dict) and sorted(training) == ["final_objective", "iterations"]
-            and is_int(training["iterations"]) and training["iterations"] >= 0
-            and is_finite_number(training["final_objective"])):
-        raise DataError("training must hold an int iterations >= 0 and a finite "
-                        "final_objective")
-    model.n_iters_ = training["iterations"]
-    model.final_objective_ = training["final_objective"]
+
+def linear_from_json(cls, doc):
+    """A fitted model of cls from its document, checked first (DataError naming the path)."""
+    doc = check(doc, cls.doc_spec(), "model")
+    model = cls(**doc["params"])
+    model.num_classes_, model.dim_ = doc["num_classes"], doc["dim"]
+    model.weights_, model.intercepts_ = doc["weights"], doc["intercepts"]
+    model.n_iters_ = doc["training"]["iterations"]
+    model.final_objective_ = doc["training"]["final_objective"]
     return model

@@ -11,8 +11,8 @@ import numpy as np
 from scipy import sparse as sp
 
 from .base import BaseEstimator, check_is_fitted
+from .docspec import Any, Array, Const, Count, Doc, Finite, Int, ListOf, Nullable, Str, check
 from .errors import BookmlError, DataError
-from .persist import finite_array, is_count, is_finite_number, is_int
 from .stopword_list import ENGLISH_STOPWORDS, STOPWORDS_VERSION
 from .text import (
     Vocabulary,
@@ -23,13 +23,20 @@ from .text import (
     tokenize,
     tfidf_matrix,
 )
-from .vectors import BlockMap
+from .vectors import BLOCK_MAP, BlockMap
 
 PIPELINE_FORMAT_VERSION = 1
 
 
 class Stage(BaseEstimator):
-    """Base of all pipeline stages."""
+    """Base of all pipeline stages.
+
+    A stage declares the Doc of its fitted state as STATE: state_to_json
+    writes it, load_state checks it and state_from_json restores it.
+    """
+
+    PARAM_SPECS = {"input_col": Str, "output_col": Str}
+    STATE = Doc({})
 
     def input_columns(self):
         return [self.input_col]
@@ -46,9 +53,12 @@ class Stage(BaseEstimator):
     def state_to_json(self):
         return {}
 
-    def load_state(self, state):
-        """Fitted state from state_to_json's object, checked before use (DataError)."""
-        _check_keys(self, state)
+    def load_state(self, state, path="state"):
+        """Fitted state from state_to_json's object, checked against STATE first (DataError)."""
+        self.state_from_json(check(state, self.STATE, path))
+
+    def state_from_json(self, state):
+        pass
 
     def to_json(self):
         return {
@@ -56,12 +66,6 @@ class Stage(BaseEstimator):
             "params": _jsonable_params(self.get_params()),
             "state": self.state_to_json(),
         }
-
-
-def _check_keys(stage, state, *keys):
-    if sorted(state) != sorted(keys):
-        raise DataError(f"{STAGE_NAMES[type(stage)]} state must hold exactly "
-                        f"{sorted(keys)}, got {sorted(state)}")
 
 
 def _jsonable_params(params):
@@ -92,6 +96,9 @@ class TokenizeText(Stage):
 class FilterStopwords(Stage):
     """tokens column -> tokens column with stoplist members removed."""
 
+    PARAM_SPECS = {**Stage.PARAM_SPECS, "stopwords": Nullable(ListOf(Str))}
+    STATE = Doc({"stopwords": ListOf(Str), "stopwords_version": Nullable(Int())})
+
     def __init__(self, input_col, output_col, stopwords=None):
         self.input_col = input_col
         self.output_col = output_col
@@ -117,16 +124,14 @@ class FilterStopwords(Stage):
             "stopwords_version": STOPWORDS_VERSION if self.stopwords is None else None,
         }
 
-    def load_state(self, state):
-        _check_keys(self, state, "stopwords", "stopwords_version")
-        words = state["stopwords"]
-        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-            raise DataError("filter_stopwords state stopwords must be a list of strings")
-        self.stopwords = frozenset(words)
+    def state_from_json(self, state):
+        self.stopwords = frozenset(state["stopwords"])
 
 
 class CountTokens(Stage):
     """tokens column -> term-count vector column over a fitted vocabulary."""
+
+    STATE = Doc({"terms": ListOf(Str), "doc_freq": ListOf(Int()), "corpus_size": Count})
 
     def __init__(self, input_col, output_col, vocab_size=4096, min_df=2):
         self.input_col = input_col
@@ -154,16 +159,10 @@ class CountTokens(Stage):
             "corpus_size": v.corpus_size,
         }
 
-    def load_state(self, state):
-        _check_keys(self, state, "terms", "doc_freq", "corpus_size")
-        terms, doc_freq, size = state["terms"], state["doc_freq"], state["corpus_size"]
-        if not (isinstance(terms, list) and all(isinstance(t, str) for t in terms)
-                and isinstance(doc_freq, list) and all(is_int(df) for df in doc_freq)
-                and is_count(size)):
-            raise DataError("count_tokens state needs string terms, int doc_freq "
-                            "and an int corpus_size >= 1")
+    def state_from_json(self, state):
         # Vocabulary checks that terms are unique and doc_freq aligned and in range.
-        self.vocabulary_ = Vocabulary(tuple(terms), tuple(doc_freq), size)
+        self.vocabulary_ = Vocabulary(tuple(state["terms"]), tuple(state["doc_freq"]),
+                                      state["corpus_size"])
 
 
 def _docs(col):
@@ -177,6 +176,8 @@ class WeightIdf(Stage):
     Document frequencies are refit from the observed count vectors, so the
     stage composes with any upstream count producer.
     """
+
+    STATE = Doc({"weights": Array((None,))})
 
     def __init__(self, input_col, output_col):
         self.input_col = input_col
@@ -201,9 +202,8 @@ class WeightIdf(Stage):
     def state_to_json(self):
         return {"weights": self.weights_.tolist()}
 
-    def load_state(self, state):
-        _check_keys(self, state, "weights")
-        self.weights_ = finite_array(state["weights"], "weight_idf state weights", None)
+    def state_from_json(self, state):
+        self.weights_ = state["weights"]
 
 
 def _vector_values(table, name):
@@ -219,6 +219,8 @@ class ScaleMinMax(Stage):
     The map is (x - min) / (max - min), unclamped, so values outside the
     training range extrapolate; a constant training column maps to 0.5.
     """
+
+    STATE = Doc({"min": Finite, "max": Finite})
 
     def __init__(self, input_col, output_col):
         self.input_col = input_col
@@ -256,11 +258,10 @@ class ScaleMinMax(Stage):
     def state_to_json(self):
         return {"min": self.min_, "max": self.max_}
 
-    def load_state(self, state):
-        _check_keys(self, state, "min", "max")
+    def state_from_json(self, state):
         lo, hi = state["min"], state["max"]
-        if not (is_finite_number(lo) and is_finite_number(hi) and lo <= hi):
-            raise DataError("scale_minmax state needs finite numbers min <= max")
+        if not lo <= hi:
+            raise DataError(f"scale_minmax state min {lo!r} exceeds max {hi!r}")
         self.min_, self.max_ = lo, hi
 
 
@@ -271,6 +272,9 @@ class AssembleColumns(Stage):
     whose dimension drifts from the fitted layout is rejected. Null values
     are rejected: numeric features must be cleaned upstream.
     """
+
+    PARAM_SPECS = {"input_cols": ListOf(Str), "output_col": Str}
+    STATE = Doc({"block_map": BLOCK_MAP})
 
     def __init__(self, input_cols, output_col):
         self.input_cols = list(input_cols)
@@ -338,8 +342,7 @@ class AssembleColumns(Stage):
     def state_to_json(self):
         return {"block_map": self.block_map_.to_json()}
 
-    def load_state(self, state):
-        _check_keys(self, state, "block_map")
+    def state_from_json(self, state):
         self.block_map_ = BlockMap.from_json(state["block_map"])
         if self.block_map_.names() != self.input_cols:
             raise DataError("assemble state block_map must name the input_cols in order")
@@ -409,35 +412,23 @@ class Pipeline(BaseEstimator):
 
     @classmethod
     def from_json(cls, doc):
-        """Rebuild a fitted pipeline from ``to_json``'s document.
-
-        stages must be a list of objects, each with a known string type,
-        params naming exactly that stage's parameters, and a state object;
-        any violation raises DataError.
-        """
-        version = doc.get("format_version") if isinstance(doc, dict) else None
-        if version != PIPELINE_FORMAT_VERSION:
-            raise DataError(f"unsupported pipeline format {version!r}")
-        frags = doc.get("stages")
-        if not isinstance(frags, list) or not all(
-                isinstance(frag, dict) and isinstance(frag.get("type"), str)
-                and isinstance(frag.get("params"), dict) and isinstance(frag.get("state"), dict)
-                for frag in frags):
-            raise DataError("pipeline stages must be a list of objects, each with a "
-                            "string type, a params object and a state object")
+        """Rebuild a fitted pipeline from ``to_json``'s document, PIPELINE_DOC."""
+        doc = check(doc, PIPELINE_DOC, "pipeline")
         stages = []
-        for frag in frags:
-            stage_cls = STAGE_TYPES.get(frag["type"])
-            if stage_cls is None:
-                raise DataError(f"unknown stage type {frag['type']!r}")
-            names = sorted(stage_cls._param_names())
-            if sorted(frag["params"]) != names:
-                raise DataError(f"{frag['type']} stage params must be exactly {names}, "
-                                f"got {sorted(frag['params'])}")
-            stage = stage_cls(**frag["params"])
-            stage.load_state(frag["state"])
+        for i, frag in enumerate(doc["stages"]):
+            stage = STAGE_TYPES[frag["type"]](**frag["params"])
+            stage.load_state(frag["state"], f"pipeline.stages[{i}].state")
             stages.append(stage)
         pipe = cls(stages)
         pipe.fitted_ = True
         return pipe
 
+
+PIPELINE_DOC = Doc({
+    "format_version": Const(PIPELINE_FORMAT_VERSION),
+    "stages": ListOf(Doc({
+        "type": Const(*STAGE_TYPES),
+        "params": lambda frag: STAGE_TYPES[frag["type"]].param_spec(),
+        "state": Any,
+    })),
+})

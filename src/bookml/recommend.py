@@ -23,7 +23,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import ConfigError, DataError, NumericError
-from .persist import finite_array, is_int
+from .docspec import Array, Const, Count, Doc, Finite, ListOf, Str, check
 
 logger = logging.getLogger(__name__)
 
@@ -231,7 +231,7 @@ class _ALSBase(BaseEstimator):
     kind = None
 
     def _init_factors(self, data):
-        if self.rank < 1 or self.reg < 0 or self.sweeps < 0:
+        if not (self.rank >= 1 and self.reg >= 0 and self.sweeps >= 0):
             raise ConfigError("rank must be >= 1, reg >= 0, sweeps >= 0")
         if data.num_triples == 0:
             raise DataError("cannot fit on an empty interaction set")
@@ -337,73 +337,32 @@ class _ALSBase(BaseEstimator):
         }
 
     @classmethod
-    def from_json(cls, doc):
-        """Rebuild a fitted model from ``to_json``'s document.
+    def doc_spec(cls):
+        """The document of a fitted model: unique string ids, factors of len(ids) x rank,
+        params naming exactly cls's parameters, and finite numbers throughout."""
+        return Doc({
+            "format_version": Const(FACTOR_FORMAT_VERSION), "kind": Const(cls.kind),
+            "rank": Count, "params": cls.param_spec(),
+            "user_ids": ListOf(Str, unique=True), "item_ids": ListOf(Str, unique=True),
+            "user_factors": lambda d: Array((len(d["user_ids"]), d["rank"])),
+            "item_factors": lambda d: Array((len(d["item_ids"]), d["rank"])),
+            "global_mean": Finite, "objective_trace": Array((None,)),
+        })
 
-        The document is checked first: its keys, the kind, an int rank of
-        at least 1, the constructor params, unique string ids, factor
-        shapes of len(ids) x rank, and finite numbers throughout. Any
-        violation raises DataError.
-        """
-        _check_factor_doc(cls, doc)
-        rank = doc["rank"]
+    @classmethod
+    def from_json(cls, doc):
+        """Rebuild a fitted model from ``to_json``'s document, checked first (DataError)."""
+        doc = check(doc, cls.doc_spec(), "model")
+        if doc["params"]["rank"] != doc["rank"]:
+            raise DataError(f"model.params.rank {doc['params']['rank']} is not rank {doc['rank']}")
         model = cls(**doc["params"])
-        model.rank_ = rank
-        model.user_ids_ = _id_list(doc["user_ids"], "user_ids")
-        model.item_ids_ = _id_list(doc["item_ids"], "item_ids")
+        model.rank_, model.global_mean_ = doc["rank"], float(doc["global_mean"])
+        model.user_ids_, model.item_ids_ = doc["user_ids"], doc["item_ids"]
         model.user_index_ = {u: i for i, u in enumerate(model.user_ids_)}
         model.item_index_ = {v: i for i, v in enumerate(model.item_ids_)}
-        model.user_factors_ = finite_array(
-            doc["user_factors"], "user_factors", (len(model.user_ids_), rank))
-        model.item_factors_ = finite_array(
-            doc["item_factors"], "item_factors", (len(model.item_ids_), rank))
-        model.global_mean_ = float(finite_array(doc["global_mean"], "global_mean", ()))
-        model.objective_trace_ = finite_array(doc["objective_trace"], "objective_trace", None)
+        model.user_factors_, model.item_factors_ = doc["user_factors"], doc["item_factors"]
+        model.objective_trace_ = doc["objective_trace"]
         return model
-
-
-_FACTOR_DOC_KEYS = ("format_version", "kind", "rank", "params", "user_ids", "item_ids",
-                    "user_factors", "item_factors", "global_mean", "objective_trace")
-
-
-def _check_factor_doc(cls, doc):
-    """Top-level keys, kind, rank and params of a factor model document."""
-    if not isinstance(doc, dict):
-        raise DataError("factor model must be a JSON object")
-    missing = [key for key in _FACTOR_DOC_KEYS if key not in doc]
-    if missing:
-        raise DataError(f"factor model lacks keys {missing}")
-    if not is_int(doc["format_version"]) or doc["format_version"] != FACTOR_FORMAT_VERSION:
-        raise DataError(f"unsupported factor format {doc['format_version']!r}")
-    if doc["kind"] != cls.kind:
-        raise DataError(f"factor model kind {doc['kind']!r} is not {cls.kind!r}")
-    rank = doc["rank"]
-    if not is_int(rank) or rank < 1:
-        raise DataError(f"factor rank must be an int >= 1, got {rank!r}")
-    params = doc["params"]
-    names = cls._param_names()
-    if not isinstance(params, dict) or sorted(params) != sorted(names):
-        got = sorted(params) if isinstance(params, dict) else type(params).__name__
-        raise DataError(f"factor model params must be exactly {sorted(names)}, got {got}")
-    for name, value in params.items():
-        if name in ("rank", "sweeps"):
-            ok = is_int(value)
-        elif name == "seed":
-            ok = value is None or is_int(value)
-        else:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not ok:
-            raise DataError(f"factor model param {name}={value!r} has the wrong type")
-    if params["rank"] != rank:
-        raise DataError(f"factor model params rank {params['rank']} != rank {rank}")
-
-
-def _id_list(value, what):
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise DataError(f"{what} must be a list of strings")
-    if len(set(value)) != len(value):
-        raise DataError(f"{what} has duplicate ids")
-    return list(value)
 
 
 class ALSExplicit(_ALSBase):
@@ -460,7 +419,7 @@ class ALSImplicit(_ALSBase):
         self.user_factors_ = None
 
     def fit(self, data):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ConfigError("alpha must be positive for implicit feedback")
         if np.any(data.ratings < 0):
             raise DataError("implicit feedback requires nonnegative ratings")

@@ -195,7 +195,10 @@ def write_ratings_csv(path, n_books, n_users, seed, n_rows=None, target_bytes=No
                       malformed_rate=0.0, stress_rate=0.01):
     """Write the ratings CSV; returns (rows_written, malformed, missing_price).
 
-    Stops after n_rows data records, or once the file exceeds target_bytes.
+    Stops after n_rows data records. With target_bytes it checks the file's
+    size only at each multiple of 2,000 data records and stops at the first
+    at which the file holds at least target_bytes, so it writes whole
+    blocks of 2,000 records and can overshoot the target by up to one block.
     Malformed records carry one extra field, so they are well-formed CSV
     with the wrong arity.
     """

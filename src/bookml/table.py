@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .docspec import Bool, Const, Doc, Int, ListOf, Str, load_json
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -381,6 +382,14 @@ def split_random(table, train_fraction, seed):
 
 TABLE_FORMAT_VERSION = 1
 
+# The schema.json that save_table writes.
+TABLE_SCHEMA = Doc({
+    "format_version": Const(TABLE_FORMAT_VERSION),
+    "row_count": Int(0),
+    "columns": ListOf(Doc({"name": Str, "dtype": Const(*CSV_DTYPES), "nullable": Bool}),
+                      min_len=1),
+})
+
 
 def save_table(table, path):
     """Persist a CSV-dtype Table as a directory of binary column arrays.
@@ -451,33 +460,15 @@ def load_table(path):
     that does not hold one raises DataError naming the path."""
     from pathlib import Path
 
-    from .persist import is_int
-
     src = Path(path)
 
     def fail(msg):
         return DataError(f"{path}: {msg}")
 
-    meta_path = src / "schema.json"
-    if not meta_path.exists():
-        raise fail("not a table artifact (schema.json missing)")
+    doc = load_json(src / "schema.json", TABLE_SCHEMA)
+    row_count = doc["row_count"]
     try:
-        doc = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise fail(f"unreadable schema.json ({exc})") from None
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if not is_int(version) or version != TABLE_FORMAT_VERSION:
-        raise fail(f"unsupported table format {version!r}")
-    row_count, entries = doc.get("row_count"), doc.get("columns")
-    if not is_int(row_count) or row_count < 0:
-        raise fail(f"row_count must be an int >= 0, got {row_count!r}")
-    if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and sorted(e) == ["dtype", "name", "nullable"]
-            and isinstance(e["name"], str) and e["dtype"] in CSV_DTYPES
-            and isinstance(e["nullable"], bool) for e in entries):
-        raise fail("columns must be {name, dtype, nullable} entries of CSV dtypes")
-    try:
-        declared = _check_columns((e["name"], e["dtype"], e["nullable"]) for e in entries)
+        declared = _check_columns((e["name"], e["dtype"], e["nullable"]) for e in doc["columns"])
     except ConfigError as exc:
         raise fail(exc) from None
     columns = {}

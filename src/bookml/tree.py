@@ -23,7 +23,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import DataError
-from .persist import is_count, is_finite_number, is_int, model_from_doc
+from .docspec import Any, Const, Count, Doc, Finite, Int, ListOf, check
 from .validation import (
     as_feature_matrix,
     as_label_array,
@@ -80,56 +80,44 @@ class Tree:
                            "gain": gain[i], "left": docs[i + 1], "right": docs[right[i]]}
         return docs[0]
 
-    @classmethod
-    def from_json(cls, doc, dim, num_classes=None, name="tree"):
-        """The tree of a nested v1 document, checked node by node as it is read.
 
-        Every node needs an int n >= 1. A node with a feature key splits:
-        an int feature in [0, dim), a finite threshold and gain, and both
-        children. A leaf's prediction is a finite list of num_classes
-        probabilities, or a finite score when num_classes is None. Any
-        violation raises DataError naming the node.
-        """
-        empty = 0.0 if num_classes is None else [0.0] * num_classes
+class TreeDoc:
+    """The spec of a nested v1 tree document, which it reads as a Tree.
+
+    Every node needs an int n >= 1. A node with a feature key splits: an
+    int feature in [0, dim), a finite threshold and gain, and both
+    children. A leaf's prediction is a list of num_classes finite
+    probabilities, or a finite score when num_classes is None. The walk is
+    iterative, so no tree is too deep to read.
+    """
+
+    def __init__(self, dim, num_classes=None):
+        self.split = Doc({"n": Count, "feature": Int(0, dim), "threshold": Finite,
+                          "gain": Finite, "left": Any, "right": Any})
+        self.leaf = Doc({"n": Count, "prediction": Finite if num_classes is None
+                         else ListOf(Finite, length=num_classes)})
+        self.empty = 0.0 if num_classes is None else [0.0] * num_classes
+
+    def node_spec(self, node):
+        return self.split if isinstance(node, dict) and "feature" in node else self.leaf
+
+    def read(self, doc, path, error):
         nodes, right = [], []  # (feature, threshold, gain, n, value) per node; right child
-        stack = [(doc, -1)]
+        stack = [(doc, -1, path)]
         while stack:
-            node, parent = stack.pop()
+            node, parent, at = stack.pop()
             i = len(nodes)
             if parent >= 0:
                 right[parent] = i
             right.append(-1)
-            if not isinstance(node, dict) or not is_count(node.get("n")):
-                raise DataError(f"{name} node {i} needs an int n >= 1")
+            node = check(node, self.node_spec(node), at, error)
             if "feature" in node:
-                f, thr, gain = node["feature"], node.get("threshold"), node.get("gain")
-                if not (is_int(f) and 0 <= f < dim and is_finite_number(thr)
-                        and is_finite_number(gain) and "left" in node and "right" in node):
-                    raise DataError(f"{name} split node {i} needs an int feature in [0, {dim}), "
-                                    "a finite threshold and gain, and both children")
-                nodes.append((f, thr, gain, node["n"], empty))
-                stack += [(node["right"], i), (node["left"], -1)]
-                continue
-            pred = node.get("prediction")
-            if num_classes is None:
-                ok = is_finite_number(pred)
+                nodes.append((node["feature"], node["threshold"], node["gain"], node["n"], self.empty))
+                stack += [(node["right"], i, f"{at}.right"), (node["left"], -1, f"{at}.left")]
             else:
-                ok = (isinstance(pred, list) and len(pred) == num_classes
-                      and all(is_finite_number(p) for p in pred))
-            if not ok:
-                want = "a finite score" if num_classes is None else (
-                    f"a finite list of {num_classes} class probabilities")
-                raise DataError(f"{name} leaf {i} needs {want} as its prediction")
-            nodes.append((-1, 0.0, 0.0, node["n"], pred))
+                nodes.append((-1, 0.0, 0.0, node["n"], node["prediction"]))
         feature, threshold, gain, n_samples, value = zip(*nodes)
-        return cls(feature, threshold, gain, n_samples, right, value)
-
-
-def num_classes_from_doc(doc):
-    """A tree classifier document's num_classes, checked to be an int >= 1."""
-    if not is_count(doc["num_classes"]):
-        raise DataError(f"num_classes must be an int >= 1, got {doc['num_classes']!r}")
-    return doc["num_classes"]
+        return Tree(feature, threshold, gain, n_samples, right, value)
 
 
 def gini(counts):
@@ -450,7 +438,7 @@ def accumulate_importances(tree, out):
 
 def check_tree_params(max_depth, max_bins, min_instances_per_node):
     """DataError unless max_depth >= 0, max_bins >= 2 and min_instances_per_node >= 1."""
-    if max_depth < 0 or max_bins < 2 or min_instances_per_node < 1:
+    if not (max_depth >= 0 and max_bins >= 2 and min_instances_per_node >= 1):
         raise DataError("need max_depth >= 0, max_bins >= 2, min_instances_per_node >= 1")
 
 
@@ -506,8 +494,14 @@ class DecisionTreeClassifier(BaseEstimator):
         }
 
     @classmethod
+    def doc_spec(cls):
+        return Doc({"kind": Const("dtree"), "num_classes": Count, "dim": Count,
+                    "params": cls.param_spec(),
+                    "root": lambda d: TreeDoc(d["dim"], d["num_classes"])})
+
+    @classmethod
     def from_json(cls, doc):
-        model = model_from_doc(cls, doc, "num_classes", "root")
-        model.num_classes_ = num_classes_from_doc(doc)
-        model.tree_ = Tree.from_json(doc["root"], model.dim_, model.num_classes_, "root")
+        doc = check(doc, cls.doc_spec(), "model")
+        model = cls(**doc["params"])
+        model.num_classes_, model.dim_, model.tree_ = doc["num_classes"], doc["dim"], doc["root"]
         return model

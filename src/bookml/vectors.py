@@ -15,8 +15,8 @@ from itertools import chain
 import numpy as np
 from scipy import sparse as sp
 
+from .docspec import Doc, Int, ListOf, Str, check
 from .errors import DataError
-from .persist import is_int
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,18 @@ class BlockMap:
 
     @classmethod
     def from_json(cls, doc):
-        """The block map of to_json's list; DataError unless every entry is well formed."""
-        if not isinstance(doc, list) or not all(
-                isinstance(d, dict) and sorted(d) == ["length", "name", "offset"]
-                and isinstance(d["name"], str) and is_int(d["offset"]) and is_int(d["length"])
-                for d in doc):
-            raise DataError("block map must be a list of {name, offset, length} objects "
-                            "with a string name and int offset and length")
-        return cls(Block(d["name"], d["offset"], d["length"]) for d in doc)
+        """The block map of to_json's list (BLOCK_MAP), checked first (DataError)."""
+        return cls(Block(**entry) for entry in check(doc, BLOCK_MAP, "block_map"))
 
     def __eq__(self, other):
         return isinstance(other, BlockMap) and self.blocks == other.blocks
 
     def __len__(self):
         return len(self.blocks)
+
+
+# The JSON form of a block map: to_json's list.
+BLOCK_MAP = ListOf(Doc({"name": Str, "offset": Int(), "length": Int()}))
 
 
 def stack_vectors(rows):

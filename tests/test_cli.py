@@ -1247,6 +1247,9 @@ class TestConfigFile:
         ("rforest", {"max_bins": [1]}),
         ("gbt", {"max_depth": [-1]}),
         ("gbt", {"min_instances_per_node": [0]}),
+        ("logistic", {"l2_reg": [float("nan")]}),
+        ("logistic", {"l2_reg": [float("inf")]}),
+        ("gbt", {"learning_rate": [float("nan")]}),
     ])
     def test_bad_grid_rejected_before_loading(self, tmp_path, capsys, model, grid):
         # No prepared table exists here: a config error must come first.
@@ -1256,6 +1259,42 @@ class TestConfigFile:
                      "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: grid: ")
+
+    @pytest.mark.parametrize("flags, doc", [
+        (["--model", "als"], {"als_reg": float("nan")}),
+        (["--model", "als_implicit"], {"als_alpha": float("inf")}),
+        (["--model", "logistic"], {"test_fraction": float("nan")}),
+        (["--model", "logistic"], {"tvs_ratio": float("-inf")}),
+        (["--model", "als", "--reg", "nan"], None),
+        (["--model", "als_implicit", "--alpha", "inf"], None),
+        (["--model", "logistic", "--ratio", "nan"], None),
+    ])
+    def test_nonfinite_config_rejected_before_loading(self, tmp_path, capsys, flags, doc):
+        # No prepared table exists here: a config error must come first.
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+            flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+        code = main(["train", "--out", str(tmp_path / "fresh"), *flags])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["train", "--model", "als", "--seed", "-5"], None),
+        (["train", "--model", "als"], {"seed": -5}),
+        (["prepare", "--ratings-csv", "r.csv", "--books-csv", "b.csv", "--seed", "-1"], None),
+        (["synth", "--rows", "10", "--seed", "-1"], None),
+    ])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, argv, config):
+        # Nothing exists to load: the seed must be rejected first, and without a traceback.
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("grid", [
         {"l2_reg": [1, 0.5], "max_iters": [10]},
