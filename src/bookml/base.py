@@ -2,12 +2,14 @@
 
 Estimators store constructor arguments verbatim as attributes and expose
 them through ``get_params`` / ``set_params``; fitted state lives in
-trailing-underscore attributes set by ``fit``.
+trailing-underscore attributes set by ``fit``. A model class declares its
+document once, as ``doc_spec()``: ``to_json`` writes it and ``from_json``
+checks and reads it (see docspec).
 """
 
 import inspect
 
-from .docspec import Bool, Doc, Finite, Int, Nullable, Str
+from .docspec import Bool, Doc, Finite, Int, Nullable, Str, check, restore, write
 from .errors import NotFittedError
 
 # The spec of a parameter, by the type of its default: an int counts as a
@@ -57,6 +59,20 @@ class BaseEstimator:
                 )
             setattr(self, name, value)
         return self
+
+    def to_json(self):
+        """This fitted model's document, as doc_spec() declares it (NotFittedError before fit)."""
+        spec = self.doc_spec()
+        for attr in spec.attrs.values():
+            check_is_fitted(self, attr)
+        return write(spec, self)
+
+    @classmethod
+    def from_json(cls, doc):
+        """The fitted model of a document, checked against doc_spec() first (DataError)."""
+        spec = cls.doc_spec()
+        doc = check(doc, spec, "model")
+        return restore(spec, cls(**doc["params"]), doc)
 
     def clone(self):
         """Fresh unfitted copy with identical parameters."""

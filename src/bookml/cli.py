@@ -36,7 +36,6 @@ from .persist import (
     load_artifact,
     model_class,
     model_from_json,
-    model_to_json,
     save_artifact,
 )
 from .recommend import build_interactions, evaluate_holdout
@@ -112,7 +111,9 @@ class RunConfig:
             raise ConfigError("max_malformed_fraction must lie in [0, 1]")
         if not (self.als_reg >= 0 and self.als_alpha > 0):
             raise ConfigError("als_reg must be >= 0 and als_alpha positive")
-        if self.model in CLASSIFIER_MODELS and self.grid is not None:
+        if self.grid is not None:
+            if self.model in RECOMMENDER_MODELS:
+                raise ConfigError(f"grid: model {self.model!r} is not tuned, so it takes no grid")
             _check_grid(model_class(self.model), self.grid)
         return self
 
@@ -350,16 +351,16 @@ def _model_scores(model, X):
     return None
 
 
-def _probe_block(pipe, model, table):
-    """Inputs + expected outputs for a held-in verification probe set."""
-    probe = table.head(min(PROBE_ROWS, table.row_count))
-    out = pipe.transform(probe)
+def _classifier_probes(pipe, model, table):
+    """The probe block of a classifier artifact: table's PROBE_INPUTS columns and what
+    the pipeline and model make of them. train writes it; verify-model recomputes it."""
+    out = pipe.transform(table)
     X = out.column("features").values
 
     def rows(col):
-        return [col.value_at(i) for i in range(probe.row_count)]
+        return [col.value_at(i) for i in range(table.row_count)]
 
-    columns = {name: probe.column(name) for name in PROBE_INPUTS}
+    columns = {name: table.column(name) for name in PROBE_INPUTS}
     return {
         "inputs": {name: {"dtype": col.dtype, "values": rows(col)} for name, col in columns.items()},
         "expected_features": rows(out.column("features")),
@@ -406,8 +407,9 @@ def _train_classifier(cfg, prepared, out):
         "label_mode": cfg.label_mode,
         "num_classes": k,
         "pipeline": pipe.to_json(),
-        "model": model_to_json(model),
-        "probes": _probe_block(pipe, model, train_tbl),
+        "model": model.to_json(),
+        "probes": _classifier_probes(pipe, model,
+                                     train_tbl.head(min(PROBE_ROWS, train_tbl.row_count))),
     }
     save_artifact(out / "model.json", artifact)
 
@@ -445,6 +447,19 @@ def _train_classifier(cfg, prepared, out):
     return report, lines
 
 
+def _recommender_probes(model, pairs, users):
+    """The probe block of a recommender artifact: the model's score of each (user, item)
+    pair and its top 5 for each user. train writes it; verify-model recomputes it."""
+    return {
+        "pairs": [{"user": u, "item": v, "score": model.score(u, v).value} for u, v in pairs],
+        "top_n": [
+            {"user": u, "n": 5,
+             "items": [item for item, _ in model.recommend_top_n(u, 5, exclude_seen=False)[0]]}
+            for u in users
+        ],
+    }
+
+
 def _train_recommender(cfg, prepared, out):
     data = build_interactions(prepared, "user_id", "title", "r_score")
     estimator = make_estimator(cfg)
@@ -465,18 +480,8 @@ def _train_recommender(cfg, prepared, out):
     artifact = {
         "artifact": "recommender",
         "config": cfg.effective(),
-        "model": model_to_json(model),
-        "probes": {
-            "pairs": [
-                {"user": u, "item": v, "score": model.score(u, v).value}
-                for u, v in pairs
-            ],
-            "top_n": [
-                {"user": u, "n": 5,
-                 "items": [item for item, _ in model.recommend_top_n(u, 5, exclude_seen=False)[0]]}
-                for u in probe_users
-            ],
-        },
+        "model": model.to_json(),
+        "probes": _recommender_probes(model, pairs, probe_users),
     }
     save_artifact(out / "model.json", artifact)
 
@@ -506,8 +511,8 @@ def _train_recommender(cfg, prepared, out):
 
 
 def cmd_train(cfg):
+    # The prepared table lives in --out, so once it loads --out exists.
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     prepared = _load_prepared(cfg)
     train = _train_recommender if cfg.model in RECOMMENDER_MODELS else _train_classifier
     report, lines = train(cfg, prepared, out)
@@ -521,7 +526,6 @@ def cmd_train(cfg):
 def cmd_compare(cfg):
     """Binary-vs-multiclass logistic regression on identical features and split."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     prepared = _load_prepared(cfg)
     train_tbl, test_tbl = split_random(prepared, 1.0 - cfg.test_fraction, cfg.seed)
 
@@ -652,52 +656,43 @@ ARTIFACT_DOCS = {
 }
 
 
-def _verify_classifier(artifact):
+def _recomputed_probes(artifact):
+    """The probe block that train's probe function makes of the artifact's model and inputs."""
+    probes = artifact["probes"]
+    if artifact["artifact"] == "recommender":
+        model = _artifact_model(artifact, RECOMMENDER_MODELS)
+        return _recommender_probes(model, [(p["user"], p["item"]) for p in probes["pairs"]],
+                                   [p["user"] for p in probes["top_n"]])
     from .pipeline import Pipeline
 
     pipe = Pipeline.from_json(artifact["pipeline"])
     model = _artifact_model(artifact, CLASSIFIER_MODELS)
-    probes = artifact["probes"]
     inputs = probes["inputs"]
     if len({len(col["values"]) for col in inputs.values()}) != 1:
         raise DataError("probes.inputs columns must hold the same number of rows")
     table = Table.build([(name, col["dtype"], True) for name, col in inputs.items()],
                         {name: col["values"] for name, col in inputs.items()})
-    mismatches = []
-    feats = pipe.transform(table).column("features")
-    for i, expect in enumerate(probes["expected_features"]):
-        if feats.value_at(i) != expect:
-            mismatches.append(f"feature vector {i} differs")
-    X = feats.values
-    for i, (got, expect) in enumerate(zip(model.predict(X), probes["expected_labels"])):
-        if int(got) != expect:
-            mismatches.append(f"prediction {i}: got {int(got)}, expected {expect}")
-    expected_scores = probes.get("expected_scores")
-    if expected_scores is not None and _model_scores(model, X) != expected_scores:
-        mismatches.append("model scores differ")
-    return mismatches
-
-
-def _verify_recommender(artifact):
-    model = _artifact_model(artifact, RECOMMENDER_MODELS)
-    mismatches = []
-    for probe in artifact["probes"]["pairs"]:
-        if model.score(probe["user"], probe["item"]).value != probe["score"]:
-            mismatches.append(f"score({probe['user']}, {probe['item']}) differs")
-    for probe in artifact["probes"]["top_n"]:
-        items, _ = model.recommend_top_n(probe["user"], probe["n"], exclude_seen=False)
-        if [t for t, _ in items] != probe["items"]:
-            mismatches.append(f"top-{probe['n']} for {probe['user']} differs")
-    return mismatches
+    return _classifier_probes(pipe, model, table)
 
 
 def cmd_verify(path):
-    """Deserialize an artifact, check its document, and re-check its probes' expectations."""
+    """Deserialize an artifact, check its document, and recompute its probe block.
+
+    Each entry of a probe list, and each other probe the artifact holds
+    (a null expected_scores aside), must equal its recomputed value.
+    """
     artifact = load_artifact(path)
     kind = artifact["artifact"]
     artifact = check(artifact, ARTIFACT_DOCS[kind], "")
-    verify = _verify_classifier if kind == "classifier" else _verify_recommender
-    mismatches = verify(artifact)
+    recomputed = _recomputed_probes(artifact)
+    mismatches = []
+    for key, want in artifact["probes"].items():
+        got = recomputed[key]
+        if isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+            mismatches += [f"probes.{key}[{i}] differs"
+                           for i, (w, g) in enumerate(zip(want, got)) if w != g]
+        elif want is not None and want != got:
+            mismatches.append(f"probes.{key} differs")
     if mismatches:
         raise DataError(
             f"{path}: verification failed with {len(mismatches)} mismatch(es): "

@@ -27,6 +27,15 @@ is. A value that does not fit raises error(message), DataError
 by default, and the message names the path of the part at fault, as in
 "model.trees[3].threshold must be a finite number, got 'x'". The path ""
 is the document itself. load_json reads a JSON file by a spec.
+
+A Doc also binds its keys to an object's attributes: attrs maps a key to
+the attribute that holds it, the key's own name by default. write(spec,
+obj) builds obj's document from them: a Const field as its value, a
+nested Doc from the same object, an ndarray by tolist, a set sorted, and
+an object with a to_json method (a tree, a block map), or a list of them,
+by to_json. restore(spec, obj, doc) sets the attributes from a document
+that check has read, Const fields without an attribute aside. So one
+declaration writes, checks and reads each fitted model and stage state.
 """
 
 import json
@@ -93,9 +102,11 @@ def Int(lo=None, hi=None):
     return Spec(what, lambda v: _is_int(v) and (lo is None or v >= lo) and (hi is None or v < hi))
 
 
-def Const(*values):
-    what = repr(values[0]) if len(values) == 1 else f"one of {list(values)}"
-    return Spec(what, lambda v: any(type(v) is type(c) and v == c for c in values))
+class Const(Spec):
+    def __init__(self, *values):
+        what = repr(values[0]) if len(values) == 1 else f"one of {list(values)}"
+        super().__init__(what, lambda v: any(type(v) is type(c) and v == c for c in values))
+        self.values = values
 
 
 Count = Spec("an int >= 1", lambda v: _is_int(v) and 1 <= v < 2**63)
@@ -152,8 +163,9 @@ class Array:
 
 
 class Doc:
-    def __init__(self, fields, optional=(), open=False):
+    def __init__(self, fields, optional=(), open=False, attrs=None):
         self.fields, self.optional, self.open = fields, optional, open
+        self.attrs = attrs or {}
 
     def read(self, value, path, error):
         if not isinstance(value, dict):
@@ -170,3 +182,37 @@ class Doc:
                 spec = spec(out) if callable(spec) else spec
                 out[key] = spec.read(value[key], _at(path, key), error)
         return out
+
+
+def _json(value):
+    """An attribute's value as JSON: see write."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, list) and value and hasattr(value[0], "to_json"):
+        return [entry.to_json() for entry in value]
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+def write(spec, obj):
+    """The document of obj that the Doc spec declares, its keys in spec's order."""
+    doc = {}
+    for key, field in spec.fields.items():
+        if isinstance(field, Doc):
+            doc[key] = write(field, obj)
+        elif isinstance(field, Const):
+            doc[key] = field.values[0]
+        else:
+            doc[key] = _json(getattr(obj, spec.attrs.get(key, key)))
+    return doc
+
+
+def restore(spec, obj, doc):
+    """Set obj's attributes from doc, as check(doc, spec, ...) read it, and return obj."""
+    for key, field in spec.fields.items():
+        if isinstance(field, Doc):
+            restore(field, obj, doc[key])
+        elif key in spec.attrs or not isinstance(field, Const):
+            setattr(obj, spec.attrs.get(key, key), doc[key])
+    return obj

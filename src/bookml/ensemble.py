@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
-from .docspec import Const, Count, Doc, Finite, ListOf, check
+from .docspec import Const, Count, Doc, Finite, ListOf
 from .errors import DataError, NumericError
 from .tree import (
     FeatureBins,
@@ -105,28 +105,12 @@ class RandomForestClassifier(BaseEstimator):
             votes[np.arange(X.shape[0]), labels] += 1
         return np.argmax(votes, axis=1)
 
-    def to_json(self):
-        check_is_fitted(self, "trees_")
-        return {
-            "kind": "rforest",
-            "num_classes": self.num_classes_,
-            "dim": self.dim_,
-            "params": self.get_params(),
-            "trees": [t.to_json() for t in self.trees_],
-        }
-
     @classmethod
     def doc_spec(cls):
         return Doc({"kind": Const("rforest"), "num_classes": Count, "dim": Count,
                     "params": cls.param_spec(),
-                    "trees": lambda d: ListOf(TreeDoc(d["dim"], d["num_classes"]), min_len=1)})
-
-    @classmethod
-    def from_json(cls, doc):
-        doc = check(doc, cls.doc_spec(), "model")
-        model = cls(**doc["params"])
-        model.num_classes_, model.dim_, model.trees_ = doc["num_classes"], doc["dim"], doc["trees"]
-        return model
+                    "trees": lambda d: ListOf(TreeDoc(d["dim"], d["num_classes"]), min_len=1)},
+                   attrs={"num_classes": "num_classes_", "dim": "dim_", "trees": "trees_"})
 
 
 def _sigmoid(z):
@@ -148,6 +132,8 @@ class GradientBoostedTreesClassifier(BaseEstimator):
     by learning_rate times the tree output. Training log-loss is recorded
     per stage (index 0 is the prior-only model).
     """
+
+    num_classes_ = 2  # binary only, so no document records it
 
     def __init__(self, num_iters=20, learning_rate=0.1, max_depth=3,
                  min_instances_per_node=1, max_bins=32, seed=0):
@@ -225,29 +211,12 @@ class GradientBoostedTreesClassifier(BaseEstimator):
     def predict(self, X):
         return (self.decision_function(X) > 0).astype(np.int64)
 
-    def to_json(self):
-        check_is_fitted(self, "trees_")
-        return {
-            "kind": "gbt",
-            "dim": self.dim_,
-            "initial_score": self.initial_score_,
-            "params": self.get_params(),
-            "trees": [t.to_json() for t in self.trees_],
-        }
-
     @classmethod
     def doc_spec(cls):
         return Doc({"kind": Const("gbt"), "dim": Count, "initial_score": Finite,
                     "params": cls.param_spec(),
-                    "trees": lambda d: ListOf(TreeDoc(d["dim"]), min_len=1)})
-
-    @classmethod
-    def from_json(cls, doc):
-        doc = check(doc, cls.doc_spec(), "model")
-        model = cls(**doc["params"])
-        model.dim_, model.initial_score_, model.trees_ = doc["dim"], doc["initial_score"], doc["trees"]
-        model.num_classes_, model.train_loss_ = 2, None
-        return model
+                    "trees": lambda d: ListOf(TreeDoc(d["dim"]), min_len=1)},
+                   attrs={"dim": "dim_", "initial_score": "initial_score_", "trees": "trees_"})
 
 
 @dataclass

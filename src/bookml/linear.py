@@ -19,7 +19,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import DataError, NumericError
-from .docspec import Array, Const, Count, Doc, Finite, Int, check
+from .docspec import Array, Const, Count, Doc, Finite, Int
 from .validation import (
     as_feature_matrix,
     as_label_array,
@@ -154,29 +154,7 @@ class LogisticRegressionClassifier(BaseEstimator):
     def predict(self, X):
         return np.argmax(self.decision_function(X), axis=1)
 
-    def to_json(self):
-        check_is_fitted(self, "weights_")
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "logistic",
-            "num_classes": self.num_classes_,
-            "dim": self.dim_,
-            "weights": self.weights_.tolist(),
-            "intercepts": self.intercepts_.tolist(),
-            "params": self.get_params(),
-            "training": {
-                "iterations": self.n_iters_,
-                "final_objective": self.final_objective_,
-            },
-        }
-
     doc_spec = classmethod(lambda cls: linear_doc_spec(cls))
-
-    @classmethod
-    def from_json(cls, doc):
-        model = linear_from_json(cls, doc)
-        model.loss_trace_ = None
-        return model
 
 
 def hinge_objective(w, b, X, ysign, l2_reg):
@@ -264,29 +242,7 @@ class LinearSVC(BaseEstimator):
     def predict(self, X):
         return (self.decision_function(X) > 0).astype(np.int64)
 
-    def to_json(self):
-        check_is_fitted(self, "weights_")
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": "svc",
-            "num_classes": 2,
-            "dim": self.dim_,
-            "weights": self.weights_.tolist(),
-            "intercepts": self.intercepts_.tolist(),
-            "params": self.get_params(),
-            "training": {
-                "iterations": self.n_iters_,
-                "final_objective": self.final_objective_,
-            },
-        }
-
     doc_spec = classmethod(lambda cls: linear_doc_spec(cls))
-
-    @classmethod
-    def from_json(cls, doc):
-        model = linear_from_json(cls, doc)
-        model.objective_trace_ = None
-        return model
 
 
 def linear_doc_spec(cls):
@@ -300,16 +256,7 @@ def linear_doc_spec(cls):
         "weights": lambda d: Array((1 if svc else d["num_classes"], d["dim"])),
         "intercepts": lambda d: Array((1 if svc else d["num_classes"],)),
         "params": cls.param_spec(),
-        "training": Doc({"iterations": Int(0), "final_objective": Finite}),
-    })
-
-
-def linear_from_json(cls, doc):
-    """A fitted model of cls from its document, checked first (DataError naming the path)."""
-    doc = check(doc, cls.doc_spec(), "model")
-    model = cls(**doc["params"])
-    model.num_classes_, model.dim_ = doc["num_classes"], doc["dim"]
-    model.weights_, model.intercepts_ = doc["weights"], doc["intercepts"]
-    model.n_iters_ = doc["training"]["iterations"]
-    model.final_objective_ = doc["training"]["final_objective"]
-    return model
+        "training": Doc({"iterations": Int(0), "final_objective": Finite},
+                        attrs={"iterations": "n_iters_", "final_objective": "final_objective_"}),
+    }, attrs={"num_classes": "num_classes_", "dim": "dim_", "weights": "weights_",
+              "intercepts": "intercepts_"})

@@ -3,7 +3,8 @@
 Artifacts embed a small probe block (inputs plus expected outputs) so a
 saved model can be re-verified after deserialization without the original
 data. JSON keeps float64 values bit-exact through the repr round trip.
-Each reader declares its document's shape (see docspec).
+Each document's shape is declared once (see docspec); a model's
+declaration, its class's doc_spec(), also writes and reads it.
 """
 
 import importlib
@@ -11,7 +12,6 @@ import json
 from pathlib import Path
 
 from .docspec import Const, Doc, check, load_json
-from .errors import DataError
 
 ARTIFACT_FORMAT_VERSION = 1
 
@@ -30,13 +30,6 @@ MODEL_TYPES = {
     "als": "recommend:ALSExplicit",
     "als_implicit": "recommend:ALSImplicit",
 }
-
-
-def model_to_json(model):
-    doc = model.to_json()
-    if doc.get("kind") not in MODEL_TYPES:
-        raise DataError(f"unknown model kind {doc.get('kind')!r}")
-    return doc
 
 
 def model_class(kind):

@@ -11,7 +11,8 @@ import numpy as np
 from scipy import sparse as sp
 
 from .base import BaseEstimator, check_is_fitted
-from .docspec import Any, Array, Const, Count, Doc, Finite, Int, ListOf, Nullable, Str, check
+from .docspec import (Any, Array, Const, Count, Doc, Finite, Int, ListOf, Nullable, Str, check,
+                      restore, write)
 from .errors import BookmlError, DataError
 from .stopword_list import ENGLISH_STOPWORDS, STOPWORDS_VERSION
 from .text import (
@@ -31,8 +32,9 @@ PIPELINE_FORMAT_VERSION = 1
 class Stage(BaseEstimator):
     """Base of all pipeline stages.
 
-    A stage declares the Doc of its fitted state as STATE: state_to_json
-    writes it, load_state checks it and state_from_json restores it.
+    A stage declares the Doc of its fitted state as STATE, with the
+    attribute that holds each key: state_to_json writes it, and load_state
+    checks it and hands it to state_from_json, which restores it.
     """
 
     PARAM_SPECS = {"input_col": Str, "output_col": Str}
@@ -51,30 +53,21 @@ class Stage(BaseEstimator):
         return self.fit(table).transform(table)
 
     def state_to_json(self):
-        return {}
+        return write(self.STATE, self)
 
     def load_state(self, state, path="state"):
         """Fitted state from state_to_json's object, checked against STATE first (DataError)."""
         self.state_from_json(check(state, self.STATE, path))
 
     def state_from_json(self, state):
-        pass
+        restore(self.STATE, self, state)
 
     def to_json(self):
         return {
             "type": STAGE_NAMES[type(self)],
-            "params": _jsonable_params(self.get_params()),
+            "params": write(self.param_spec(), self),
             "state": self.state_to_json(),
         }
-
-
-def _jsonable_params(params):
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, frozenset):
-            v = sorted(v)
-        out[k] = v
-    return out
 
 
 class TokenizeText(Stage):
@@ -177,7 +170,7 @@ class WeightIdf(Stage):
     stage composes with any upstream count producer.
     """
 
-    STATE = Doc({"weights": Array((None,))})
+    STATE = Doc({"weights": Array((None,))}, attrs={"weights": "weights_"})
 
     def __init__(self, input_col, output_col):
         self.input_col = input_col
@@ -199,12 +192,6 @@ class WeightIdf(Stage):
         tfidf = tfidf_matrix(_vector_values(table, self.input_col), self.weights_)
         return table.with_column(self.output_col, "vector", tfidf)
 
-    def state_to_json(self):
-        return {"weights": self.weights_.tolist()}
-
-    def state_from_json(self, state):
-        self.weights_ = state["weights"]
-
 
 def _vector_values(table, name):
     col = table.column(name)
@@ -220,7 +207,7 @@ class ScaleMinMax(Stage):
     training range extrapolate; a constant training column maps to 0.5.
     """
 
-    STATE = Doc({"min": Finite, "max": Finite})
+    STATE = Doc({"min": Finite, "max": Finite}, attrs={"min": "min_", "max": "max_"})
 
     def __init__(self, input_col, output_col):
         self.input_col = input_col
@@ -255,14 +242,11 @@ class ScaleMinMax(Stage):
             out = (x - self.min_) / (self.max_ - self.min_)
         return table.with_column(self.output_col, "float64", out)
 
-    def state_to_json(self):
-        return {"min": self.min_, "max": self.max_}
-
     def state_from_json(self, state):
         lo, hi = state["min"], state["max"]
         if not lo <= hi:
             raise DataError(f"scale_minmax state min {lo!r} exceeds max {hi!r}")
-        self.min_, self.max_ = lo, hi
+        super().state_from_json(state)
 
 
 class AssembleColumns(Stage):
@@ -274,7 +258,7 @@ class AssembleColumns(Stage):
     """
 
     PARAM_SPECS = {"input_cols": ListOf(Str), "output_col": Str}
-    STATE = Doc({"block_map": BLOCK_MAP})
+    STATE = Doc({"block_map": BLOCK_MAP}, attrs={"block_map": "block_map_"})
 
     def __init__(self, input_cols, output_col):
         self.input_cols = list(input_cols)
@@ -339,13 +323,10 @@ class AssembleColumns(Stage):
         features.sort_indices()
         return table.with_column(self.output_col, "vector", features)
 
-    def state_to_json(self):
-        return {"block_map": self.block_map_.to_json()}
-
     def state_from_json(self, state):
-        self.block_map_ = BlockMap.from_json(state["block_map"])
-        if self.block_map_.names() != self.input_cols:
+        if state["block_map"].names() != self.input_cols:
             raise DataError("assemble state block_map must name the input_cols in order")
+        super().state_from_json(state)
 
 
 STAGE_NAMES = {

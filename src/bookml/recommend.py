@@ -23,7 +23,7 @@ import numpy as np
 
 from .base import BaseEstimator, check_is_fitted
 from .errors import ConfigError, DataError, NumericError
-from .docspec import Array, Const, Count, Doc, Finite, ListOf, Str, check
+from .docspec import Array, Const, Count, Doc, Finite, ListOf, Str
 
 logger = logging.getLogger(__name__)
 
@@ -321,21 +321,6 @@ class _ALSBase(BaseEstimator):
         top = _top_n(scores, candidates, n)
         return [(self.item_ids_[i], float(scores[i])) for i in top.tolist()], False
 
-    def to_json(self):
-        check_is_fitted(self, "user_factors_")
-        return {
-            "format_version": FACTOR_FORMAT_VERSION,
-            "kind": self.kind,
-            "rank": self.rank_,
-            "params": self.get_params(),
-            "user_ids": self.user_ids_,
-            "item_ids": self.item_ids_,
-            "user_factors": self.user_factors_.tolist(),
-            "item_factors": self.item_factors_.tolist(),
-            "global_mean": self.global_mean_,
-            "objective_trace": np.asarray(self.objective_trace_).tolist(),
-        }
-
     @classmethod
     def doc_spec(cls):
         """The document of a fitted model: unique string ids, factors of len(ids) x rank,
@@ -347,21 +332,18 @@ class _ALSBase(BaseEstimator):
             "user_factors": lambda d: Array((len(d["user_ids"]), d["rank"])),
             "item_factors": lambda d: Array((len(d["item_ids"]), d["rank"])),
             "global_mean": Finite, "objective_trace": Array((None,)),
-        })
+        }, attrs={key: f"{key}_" for key in ("rank", "user_ids", "item_ids", "user_factors",
+                                             "item_factors", "global_mean", "objective_trace")})
 
     @classmethod
     def from_json(cls, doc):
-        """Rebuild a fitted model from ``to_json``'s document, checked first (DataError)."""
-        doc = check(doc, cls.doc_spec(), "model")
-        if doc["params"]["rank"] != doc["rank"]:
-            raise DataError(f"model.params.rank {doc['params']['rank']} is not rank {doc['rank']}")
-        model = cls(**doc["params"])
-        model.rank_, model.global_mean_ = doc["rank"], float(doc["global_mean"])
-        model.user_ids_, model.item_ids_ = doc["user_ids"], doc["item_ids"]
+        """The fitted model of a document (doc_spec), whose params.rank must be its rank."""
+        model = super().from_json(doc)
+        if model.rank != model.rank_:
+            raise DataError(f"model.params.rank {model.rank} is not rank {model.rank_}")
+        model.global_mean_ = float(model.global_mean_)
         model.user_index_ = {u: i for i, u in enumerate(model.user_ids_)}
         model.item_index_ = {v: i for i, v in enumerate(model.item_ids_)}
-        model.user_factors_, model.item_factors_ = doc["user_factors"], doc["item_factors"]
-        model.objective_trace_ = doc["objective_trace"]
         return model
 
 

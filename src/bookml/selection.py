@@ -52,17 +52,15 @@ class CandidateResult:
     wall_time: float = 0.0
     error: str | None = None
 
-    def to_json(self, include_times=True):
-        doc = {
+    def to_json(self):
+        return {
             "params": self.params,
             "fold_metrics": self.fold_metrics,
             "mean_metrics": self.mean_metrics,
             "selection_score": self.selection_score,
             "error": self.error,
+            "wall_time_s": self.wall_time,
         }
-        if include_times:
-            doc["wall_time_s"] = self.wall_time
-        return doc
 
 
 @dataclass
@@ -75,14 +73,14 @@ class TuneResult:
     best_model: object
     table: list
 
-    def to_json(self, include_times=True):
+    def to_json(self):
         return {
             "method": self.method,
             "settings": self.settings,
             "metric": self.metric,
             "best_params": self.best_params,
             "best_metric": self.best_metric,
-            "candidates": [c.to_json(include_times) for c in self.table],
+            "candidates": [c.to_json() for c in self.table],
         }
 
 

@@ -483,25 +483,9 @@ class DecisionTreeClassifier(BaseEstimator):
     def predict(self, X):
         return np.argmax(self.predict_proba(X), axis=1)
 
-    def to_json(self):
-        check_is_fitted(self, "tree_")
-        return {
-            "kind": "dtree",
-            "num_classes": self.num_classes_,
-            "dim": self.dim_,
-            "params": self.get_params(),
-            "root": self.tree_.to_json(),
-        }
-
     @classmethod
     def doc_spec(cls):
         return Doc({"kind": Const("dtree"), "num_classes": Count, "dim": Count,
                     "params": cls.param_spec(),
-                    "root": lambda d: TreeDoc(d["dim"], d["num_classes"])})
-
-    @classmethod
-    def from_json(cls, doc):
-        doc = check(doc, cls.doc_spec(), "model")
-        model = cls(**doc["params"])
-        model.num_classes_, model.dim_, model.tree_ = doc["num_classes"], doc["dim"], doc["root"]
-        return model
+                    "root": lambda d: TreeDoc(d["dim"], d["num_classes"])},
+                   attrs={"num_classes": "num_classes_", "dim": "dim_", "root": "tree_"})

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 from scipy import sparse as sp
 
-from .docspec import Doc, Int, ListOf, Str, check
+from .docspec import Doc, Int, ListOf, Str
 from .errors import DataError
 
 
@@ -52,11 +52,6 @@ class BlockMap:
     def to_json(self):
         return [{"name": b.name, "offset": b.offset, "length": b.length} for b in self.blocks]
 
-    @classmethod
-    def from_json(cls, doc):
-        """The block map of to_json's list (BLOCK_MAP), checked first (DataError)."""
-        return cls(Block(**entry) for entry in check(doc, BLOCK_MAP, "block_map"))
-
     def __eq__(self, other):
         return isinstance(other, BlockMap) and self.blocks == other.blocks
 
@@ -64,8 +59,14 @@ class BlockMap:
         return len(self.blocks)
 
 
-# The JSON form of a block map: to_json's list.
-BLOCK_MAP = ListOf(Doc({"name": Str, "offset": Int(), "length": Int()}))
+class BlockMapDoc(ListOf):
+    """The spec of a block map's JSON form, to_json's list, which it reads as a BlockMap."""
+
+    def read(self, value, path, error):
+        return BlockMap(Block(**entry) for entry in super().read(value, path, error))
+
+
+BLOCK_MAP = BlockMapDoc(Doc({"name": Str, "offset": Int(), "length": Int()}))
 
 
 def stack_vectors(rows):

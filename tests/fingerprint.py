@@ -20,13 +20,13 @@ from pathlib import Path
 TIME_KEYS = ("wall_time_s", "seconds", "Time")
 
 
-def canonical(doc, root):
-    """doc without its time keys and with root in its strings replaced by $ROOT."""
+def canonical(doc, root=None):
+    """doc without its time keys and, given root, with root in its strings replaced by $ROOT."""
     if isinstance(doc, dict):
         return {k: canonical(v, root) for k, v in doc.items() if k not in TIME_KEYS}
     if isinstance(doc, list):
         return [canonical(v, root) for v in doc]
-    if isinstance(doc, str):
+    if isinstance(doc, str) and root is not None:
         return doc.replace(str(root), "$ROOT")
     return doc
 

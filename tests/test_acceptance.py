@@ -44,6 +44,7 @@ from bookml.synth import NEUTRAL_WORDS, generate_corpus, write_ratings_csv
 from bookml.table import RATINGS_COLUMNS, parse_csv
 from bookml.validation import stack_vectors
 
+from fingerprint import canonical
 from test_linear import finite_difference_gradient
 from test_metrics import oracle_metrics
 from test_tree import exhaustive_best_split
@@ -298,11 +299,11 @@ def test_criterion_07_model_selection_laws():
         tvs = train_validation_split(LogisticRegressionClassifier(), grid, X, y,
                                      train_ratio=0.8, metric="f1", seed=13)
         runs["cv"].append(
-            (json.dumps(cv.to_json(include_times=False), sort_keys=True),
+            (json.dumps(canonical(cv.to_json()), sort_keys=True),
              cv.best_model.weights_.tobytes())
         )
         runs["tvs"].append(
-            (json.dumps(tvs.to_json(include_times=False), sort_keys=True),
+            (json.dumps(canonical(tvs.to_json()), sort_keys=True),
              tvs.best_model.weights_.tobytes())
         )
     assert runs["cv"][0] == runs["cv"][1]

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bookml.cli import CLASSIFIER_MODELS, RECOMMENDER_MODELS, main
+from bookml.errors import NotFittedError
+from bookml.persist import MODEL_TYPES
 from bookml.synth import generate_corpus
+
+from fingerprint import fingerprints
 
 # Checked-in artifacts; see data/README.md.
 FIXTURES = Path(__file__).parent / "data"
@@ -228,6 +232,17 @@ class TestTrain:
     def test_train_without_prepare_is_data_error(self, tmp_path):
         code = main(["train", "--out", str(tmp_path / "fresh"), "--model", "logistic"])
         assert code == 3
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--model", "logistic"],
+        ["train", "--model", "als"],
+        ["compare"],
+    ])
+    def test_run_without_prepare_creates_nothing(self, tmp_path, capsys, command):
+        # A run that fails to load its prepared table leaves no run directory behind.
+        code = main([*command, "--out", str(tmp_path / "fresh")])
+        assert code == 3 and capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "fresh").exists()
 
     def test_reports_reproducible_modulo_wall_time(self, corpus, tmp_path):
         # rerunning the same command into the same out dir is idempotent
@@ -755,6 +770,13 @@ class TestModelKinds:
 
         assert type(make_estimator(RunConfig(model=kind), 2)) is model_class(kind)
 
+    @pytest.mark.parametrize("kind", sorted(MODEL_TYPES))
+    def test_unfitted_model_has_no_document(self, kind):
+        from bookml.persist import model_class
+
+        with pytest.raises(NotFittedError):
+            model_class(kind)().to_json()
+
 
 def _tree_nodes(model):
     """Every node of a tree model document: each tree in order, nodes in preorder."""
@@ -1250,6 +1272,10 @@ class TestConfigFile:
         ("logistic", {"l2_reg": [float("nan")]}),
         ("logistic", {"l2_reg": [float("inf")]}),
         ("gbt", {"learning_rate": [float("nan")]}),
+        # Factor models are not tuned: any grid, even a valid-looking one, is rejected.
+        ("als", {"reg": [0.1]}),
+        ("als", {"l2_reg": [float("nan")]}),
+        ("als_implicit", {}),
     ])
     def test_bad_grid_rejected_before_loading(self, tmp_path, capsys, model, grid):
         # No prepared table exists here: a config error must come first.
@@ -1259,6 +1285,7 @@ class TestConfigFile:
                      "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: grid: ")
+        assert not (tmp_path / "fresh").exists()
 
     @pytest.mark.parametrize("flags, doc", [
         (["--model", "als"], {"als_reg": float("nan")}),
@@ -1333,8 +1360,8 @@ class TestConfigFile:
 class TestTreeDeterminism:
     def test_tree_flows_equal_across_directories(self, corpus, tmp_path):
         # Same corpus and seed in two directories: every JSON output of the
-        # forest and boosting flows matches once wall times and the output
-        # directory are taken out.
+        # forest and boosting flows has the same fingerprint, which leaves
+        # wall times and the output directory out.
         root, stats = corpus
         runs = []
         for name in ("first", "second"):
@@ -1342,15 +1369,14 @@ class TestTreeDeterminism:
             assert main(["prepare", "--ratings-csv", stats.ratings_path,
                          "--books-csv", stats.books_path, "--out", str(out),
                          "--seed", "7"]) == 0
-            docs = {}
+            prints = {}
             for model, tuning in (("rforest", "cv"), ("gbt", "tvs")):
                 assert main(["train", "--out", str(out), "--model", model,
                              "--tuning", tuning, "--seed", "7"]) == 0
-                for fname in ("train_report.json", "model.json"):
-                    text = (out / fname).read_text(encoding="utf-8").replace(str(out), "<out>")
-                    docs[f"{model}/{fname}"] = strip_wall_times(json.loads(text))
-            runs.append(docs)
-        assert json.dumps(runs[0], sort_keys=True) == json.dumps(runs[1], sort_keys=True)
+                prints[model] = fingerprints(out, out)
+                assert {"train_report.json", "model.json"} <= set(prints[model])
+            runs.append(prints)
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("flow", ["compare", "recommender"])
     def test_flows_equal_across_import_states(self, corpus, tmp_path, cli_subprocess, flow):

@@ -15,6 +15,8 @@ from bookml import (
 )
 from bookml.errors import NumericError
 
+from fingerprint import canonical
+
 
 class ConstantClassifier(BaseEstimator):
     """Deterministic trainer: always predicts the configured class."""
@@ -139,7 +141,7 @@ class TestCrossValidate:
                 LogisticRegressionClassifier(max_iters=40),
                 {"l2_reg": [0.0, 0.01]}, X, y, k=3, metric="f1", seed=9,
             )
-            results.append(json.dumps(r.to_json(include_times=False), sort_keys=True))
+            results.append(json.dumps(canonical(r.to_json()), sort_keys=True))
         assert results[0] == results[1]
 
 
@@ -158,8 +160,8 @@ class TestTrainValidationSplit:
                                    train_ratio=0.8, metric="accuracy", seed=3)
         b = train_validation_split(ConstantClassifier(), {"label": [0, 1]}, X, y,
                                    train_ratio=0.8, metric="accuracy", seed=3)
-        assert json.dumps(a.to_json(False), sort_keys=True) == \
-            json.dumps(b.to_json(False), sort_keys=True)
+        assert json.dumps(canonical(a.to_json()), sort_keys=True) == \
+            json.dumps(canonical(b.to_json()), sort_keys=True)
 
     def test_candidate_ordering_matches_cv_for_deterministic_trainer(self, rng):
         # a trainer whose predictions depend only on its params induces the

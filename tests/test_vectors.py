@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse as sp
 
 from bookml import BlockMap, DataError, Table, stack_vectors
+from bookml.docspec import check
 from bookml.pipeline import AssembleColumns
 from bookml.table import Column
-from bookml.vectors import Block
+from bookml.vectors import BLOCK_MAP, Block
 
 
 def sparse_row(dim, indices, values):
@@ -92,7 +93,7 @@ def test_assemble_slice_inverts(dense_parts):
 
 def test_block_map_json_roundtrip():
     bm = BlockMap.from_parts(["x", "y"], [2, 5])
-    assert BlockMap.from_json(bm.to_json()) == bm
+    assert check(bm.to_json(), BLOCK_MAP, "block_map") == bm
 
 
 def test_stack_vectors_sparse_and_dense():
